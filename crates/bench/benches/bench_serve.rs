@@ -42,11 +42,10 @@ fn engine(cache: Option<&Arc<PlanCache>>) -> C2mEngine {
     .build()
 }
 
-fn cfg(batch_cache: bool) -> ServeConfig {
+fn cfg() -> ServeConfig {
     ServeConfig {
         window_ns: 1e9,
         max_batch: 8,
-        batch_cache,
         ..ServeConfig::default()
     }
 }
@@ -56,12 +55,12 @@ fn bench_steady_state(c: &mut Criterion) {
     let cache = Arc::new(PlanCache::default());
     // Warm-up run pays the compulsory per-topology misses; the
     // measured runs are the sweep's steady state.
-    let _ = ServeRuntime::new(engine(Some(&cache)), cfg(true)).run(&reqs);
+    let _ = ServeRuntime::new(engine(Some(&cache)), cfg()).run(&reqs);
     c.bench_function("fig_serve/steady_state_run_cached", |b| {
-        b.iter(|| ServeRuntime::new(engine(Some(&cache)), cfg(true)).run(black_box(&reqs)))
+        b.iter(|| ServeRuntime::new(engine(Some(&cache)), cfg()).run(black_box(&reqs)))
     });
     c.bench_function("fig_serve/steady_state_run_uncached", |b| {
-        b.iter(|| ServeRuntime::new(engine(None), cfg(false)).run(black_box(&reqs)))
+        b.iter(|| ServeRuntime::new(engine(None), cfg()).run(black_box(&reqs)))
     });
 }
 
@@ -77,13 +76,13 @@ fn bench_persistent_warm(c: &mut Criterion) {
         std::process::id()
     ));
     let warm = Arc::new(PlanCache::default());
-    let _ = ServeRuntime::new(engine(Some(&warm)), cfg(true)).run(&reqs);
+    let _ = ServeRuntime::new(engine(Some(&warm)), cfg()).run(&reqs);
     CacheStore::save(&path, &warm).expect("bench store path is writable");
     c.bench_function("fig_serve/steady_state_run_persistent_warm", |b| {
         b.iter(|| {
             let cache = Arc::new(PlanCache::default());
             assert!(CacheStore::load_into(&path, &cache), "store must load");
-            ServeRuntime::new(engine(Some(&cache)), cfg(true)).run(black_box(&reqs))
+            ServeRuntime::new(engine(Some(&cache)), cfg()).run(black_box(&reqs))
         })
     });
     std::fs::remove_file(&path).ok();
@@ -99,12 +98,8 @@ fn bench_serial(c: &mut Criterion) {
     c.bench_function("fig_serve/serial_run_cached", |b| {
         b.iter(|| ServeRuntime::new(engine(Some(&cache)), serial.clone()).run(black_box(&reqs)))
     });
-    let uncached = ServeConfig {
-        batch_cache: false,
-        ..ServeConfig::default()
-    };
     c.bench_function("fig_serve/serial_run_uncached", |b| {
-        b.iter(|| ServeRuntime::new(engine(None), uncached.clone()).run(black_box(&reqs)))
+        b.iter(|| ServeRuntime::new(engine(None), serial.clone()).run(black_box(&reqs)))
     });
 }
 

@@ -501,11 +501,11 @@ impl PlanCache {
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a over a word stream, one little-endian u64 at a time. All map
-/// *indices* in this module use this: collisions degrade to
-/// recomputation (the entry fails the equality gate and is replaced),
-/// so the hash needs to be fast and well-distributed, not
-/// cryptographic.
+/// FNV-1a with one xor-multiply step per whole word. All map *indices*
+/// in this module use this: collisions degrade to recomputation (the
+/// entry fails the equality gate and is replaced), so the hash needs to
+/// be fast and well-distributed, not cryptographic. Indices are never
+/// persisted — the store recomputes them from content on load.
 struct Fnv(u64);
 
 impl Fnv {
@@ -513,17 +513,6 @@ impl Fnv {
         Self(FNV_OFFSET)
     }
 
-    fn eat(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// One xor-multiply step per whole word — 8× fewer multiplies than
-    /// [`Self::eat`], slightly worse diffusion. The report index hashes
-    /// entire kernel inputs on every launch, so it takes the fast step
-    /// (a weaker index only ever costs a recomputation).
     fn eat_word(&mut self, v: u64) {
         self.0 ^= v;
         self.0 = self.0.wrapping_mul(FNV_PRIME);
@@ -533,12 +522,12 @@ impl Fnv {
 /// Index of a stream entry (see [`Fnv`]).
 fn stream_index(params: StreamParams, xs: &[i64]) -> u64 {
     let mut h = Fnv::new();
-    h.eat(params.radix as u64);
-    h.eat(params.digits as u64);
-    h.eat(u64::from(params.iarm) << 1 | u64::from(params.doubled));
-    h.eat(xs.len() as u64);
+    h.eat_word(params.radix as u64);
+    h.eat_word(params.digits as u64);
+    h.eat_word(u64::from(params.iarm) << 1 | u64::from(params.doubled));
+    h.eat_word(xs.len() as u64);
     for &x in xs {
-        h.eat(x as u64);
+        h.eat_word(x as u64);
     }
     h.0
 }

@@ -327,6 +327,12 @@ impl RequestQueue {
     /// has fully issued, so a window can only reorder — it never idles
     /// the controller waiting for future arrivals.
     ///
+    /// Each issue costs O(banks), not O(batch): a request is ready only
+    /// once it has arrived and its bank is free, and arrivals never
+    /// decrease along a bank's FCFS order, so every candidate the
+    /// policy can pick is the oldest untaken request of its bank or of
+    /// its bank's open row (see `BatchIndex`).
+    ///
     /// # Panics
     ///
     /// Panics if any request names a bank out of range.
@@ -342,59 +348,72 @@ impl RequestQueue {
             requests.iter().copied().enumerate().collect();
         // Stable order by arrival, then submission index (FCFS base).
         sort_fcfs(&mut pending);
-        let mut report = ScheduleReport::default();
+        let mut report = ScheduleReport {
+            completions: Vec::with_capacity(requests.len()),
+        };
+        let mut index = BatchIndex::default();
         let mut now = 0.0f64;
+        let mut rest: &[(usize, MemoryRequest)] = &pending;
 
-        while !pending.is_empty() {
+        while let Some((_, oldest)) = rest.first() {
             // The batch opens at the oldest pending arrival and admits
             // everything arriving within the window of that instant.
-            let t_open = pending[0].1.arrival_ns;
-            let take = pending
+            let t_open = oldest.arrival_ns;
+            let take = rest
                 .iter()
                 .take_while(|(_, r)| r.arrival_ns - t_open <= window.window_ns)
                 .count()
                 .max(1);
-            let mut batch: Vec<(usize, MemoryRequest)> = pending.drain(..take).collect();
+            let (batch, tail) = rest.split_at(take);
+            rest = tail;
+            index.load(batch, &self.banks);
 
-            while !batch.is_empty() {
+            for _ in 0..batch.len() {
                 // Advance the clock to the earliest instant *some* batch
                 // request could issue (arrived, bank free, bus free) —
                 // scheduling decisions are made when resources free up,
                 // so a row hit that arrives while a bank is busy still
-                // wins FR priority.
-                let t_min = batch
-                    .iter()
-                    .map(|(_, r)| {
-                        r.arrival_ns
-                            .max(self.bank_ready[r.bank])
-                            .max(self.bus_ready)
-                    })
-                    .fold(f64::INFINITY, f64::min);
+                // wins FR priority. A bank's oldest request arrives
+                // first, so it bounds the bank.
+                let mut t_min = f64::INFINITY;
+                for b in 0..self.banks.len() {
+                    if let Some(p) = index.bank_head(b) {
+                        let r = &batch[p].1;
+                        t_min = t_min.min(r.arrival_ns.max(self.bank_ready[b]).max(self.bus_ready));
+                    }
+                }
                 now = now.max(t_min);
-                let ready: Vec<usize> = (0..batch.len())
-                    .filter(|&i| {
-                        let r = &batch[i].1;
-                        r.arrival_ns <= now
-                            && self.bank_ready[r.bank] <= now
-                            && self.bus_ready <= now
-                    })
-                    .collect();
-                debug_assert!(!ready.is_empty(), "clock advance must free a request");
-                // Starvation cap first (oldest over-cap request wins —
-                // `batch` is in FCFS order), then first-ready row hits,
-                // then plain FCFS.
-                let pick = ready
-                    .iter()
-                    .copied()
-                    .find(|&i| now - batch[i].1.arrival_ns > window.max_wait_ns)
-                    .or_else(|| {
-                        ready.iter().copied().find(|&i| {
-                            let r = &batch[i].1;
-                            self.banks[r.bank].would_hit(r.row)
-                        })
-                    })
-                    .unwrap_or(ready[0]);
-                let (_, req) = batch.remove(pick);
+                // Starvation cap first (oldest over-cap request wins),
+                // then first-ready row hits, then plain FCFS. Positions
+                // are FCFS ranks, so "oldest" is the smallest position.
+                let (mut over, mut hit, mut oldest) = (usize::MAX, usize::MAX, usize::MAX);
+                for b in 0..self.banks.len() {
+                    if self.bank_ready[b] > now {
+                        continue;
+                    }
+                    let Some(p) = index.bank_head(b) else {
+                        continue;
+                    };
+                    let r = &batch[p].1;
+                    if r.arrival_ns > now {
+                        continue; // nothing in this bank has arrived yet
+                    }
+                    oldest = oldest.min(p);
+                    if now - r.arrival_ns > window.max_wait_ns {
+                        over = over.min(p);
+                    }
+                    if let Some(q) = index.open_row_head(b) {
+                        if batch[q].1.arrival_ns <= now {
+                            hit = hit.min(q);
+                        }
+                    }
+                }
+                let pick = [over, hit, oldest]
+                    .into_iter()
+                    .find(|&p| p != usize::MAX)
+                    .expect("clock advance must free a request");
+                let req = batch[pick].1;
+                index.take(pick, req.bank);
 
                 let kind = self.banks[req.bank].access(req.row);
                 // Row cycle occupies the bank; the data burst occupies the bus.
@@ -426,6 +445,121 @@ fn sort_fcfs(reqs: &mut [(usize, MemoryRequest)]) {
             .expect("arrival times are finite by construction")
             .then(a.0.cmp(&b.0))
     });
+}
+
+/// The FR-FCFS candidates of one batch, indexed for O(banks) picks.
+///
+/// Requests are named by their *position* in the batch (its FCFS rank).
+/// Two lists hold positions in FCFS order: every request grouped by
+/// bank, and every request grouped by `(bank, row)`. Each group keeps a
+/// head that skips lazily over `taken` positions, so its head is the
+/// group's oldest pending request; the head of the group of a bank's
+/// open row is that bank's oldest pending row hit. Scratch buffers are
+/// reused from batch to batch.
+#[derive(Debug, Default)]
+struct BatchIndex {
+    /// Whether each position has issued.
+    taken: Vec<bool>,
+    /// Positions by `(bank, position)`.
+    by_bank: Vec<usize>,
+    /// Per bank: end of its run in `by_bank`.
+    bank_end: Vec<usize>,
+    /// Per bank: cursor into `by_bank`.
+    bank_head: Vec<usize>,
+    /// Positions by `(bank, row, position)`.
+    by_row: Vec<usize>,
+    /// Per `(bank, row)` group: end of its run in `by_row`.
+    group_end: Vec<usize>,
+    /// Per group: cursor into `by_row`.
+    group_head: Vec<usize>,
+    /// Per position: its group.
+    group_of: Vec<usize>,
+    /// Per bank: the group of its open row, if any request targets it.
+    open_group: Vec<Option<usize>>,
+}
+
+impl BatchIndex {
+    /// Indexes `batch` (in FCFS order) against the banks' open rows.
+    fn load(&mut self, batch: &[(usize, MemoryRequest)], banks: &[BankState]) {
+        let n = batch.len();
+        self.taken.clear();
+        self.taken.resize(n, false);
+
+        // Stable sorts keep FCFS order within each bank and each row.
+        let bank_of = |p: &usize| batch[*p].1.bank;
+        let row_of = |p: &usize| (batch[*p].1.bank, batch[*p].1.row);
+        self.by_bank.clear();
+        self.by_bank.extend(0..n);
+        self.by_bank.sort_by_key(bank_of);
+        self.bank_head.clear();
+        self.bank_end.clear();
+        for b in 0..banks.len() {
+            self.bank_head
+                .push(self.by_bank.partition_point(|p| bank_of(p) < b));
+            self.bank_end
+                .push(self.by_bank.partition_point(|p| bank_of(p) <= b));
+        }
+        self.by_row.clear();
+        self.by_row.extend_from_slice(&self.by_bank);
+        self.by_row.sort_by_key(row_of);
+        self.group_head.clear();
+        self.group_end.clear();
+        self.group_of.clear();
+        self.group_of.resize(n, 0);
+        let mut start = 0;
+        for run in self.by_row.chunk_by(|a, b| row_of(a) == row_of(b)) {
+            for &p in run {
+                self.group_of[p] = self.group_head.len();
+            }
+            self.group_head.push(start);
+            start += run.len();
+            self.group_end.push(start);
+        }
+        self.open_group.clear();
+        self.open_group.extend(banks.iter().map(|_| None));
+        for (g, &head) in self.group_head.iter().enumerate() {
+            let r = &batch[self.by_row[head]].1;
+            if banks[r.bank].would_hit(r.row) {
+                self.open_group[r.bank] = Some(g);
+            }
+        }
+    }
+
+    /// Bank `b`'s oldest pending request.
+    fn bank_head(&mut self, b: usize) -> Option<usize> {
+        first_pending(
+            &self.by_bank,
+            &mut self.bank_head[b],
+            self.bank_end[b],
+            &self.taken,
+        )
+    }
+
+    /// Bank `b`'s oldest pending request to its open row.
+    fn open_row_head(&mut self, b: usize) -> Option<usize> {
+        let g = self.open_group[b]?;
+        first_pending(
+            &self.by_row,
+            &mut self.group_head[g],
+            self.group_end[g],
+            &self.taken,
+        )
+    }
+
+    /// Marks `p` issued; its bank's open row becomes its row.
+    fn take(&mut self, p: usize, bank: usize) {
+        self.taken[p] = true;
+        self.open_group[bank] = Some(self.group_of[p]);
+    }
+}
+
+/// Advances `head` past issued positions of `list[..end]` and returns
+/// the position it stops on, if any.
+fn first_pending(list: &[usize], head: &mut usize, end: usize, taken: &[bool]) -> Option<usize> {
+    while *head < end && taken[list[*head]] {
+        *head += 1;
+    }
+    (*head < end).then(|| list[*head])
 }
 
 #[cfg(test)]

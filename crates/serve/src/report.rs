@@ -202,13 +202,6 @@ pub struct ServeReport {
     /// The rolling window the power timeline (and any power cap)
     /// averages over, ns.
     pub power_window_ns: f64,
-    /// Priced-batch cache hits at report time (cumulative over the
-    /// runtime's lifetime, like the engine tallies; zero when the cache
-    /// is disabled). Observational only — caching never changes
-    /// results.
-    pub batch_cache_hits: u64,
-    /// Priced-batch cache misses at report time.
-    pub batch_cache_misses: u64,
     /// Engine plan/stream cache tallies at report time (all zeros when
     /// the engine was built with caching disabled).
     pub engine_cache: c2m_dram::CacheCounters,
@@ -229,16 +222,6 @@ fn percentiles_ns(mut lat: Vec<f64>, ps: &[f64]) -> Vec<f64> {
 }
 
 impl ServeReport {
-    /// Fraction of priced-batch cache lookups that hit, in [0, 1]
-    /// (0.0 when the cache is disabled or never consulted).
-    #[must_use]
-    pub fn batch_cache_hit_rate(&self) -> f64 {
-        c2m_dram::hit_fraction(
-            self.batch_cache_hits,
-            self.batch_cache_hits + self.batch_cache_misses,
-        )
-    }
-
     /// One request's end-to-end latency decomposed against its batch's
     /// pipeline record: planning, mask reload, engine occupancy
     /// (dispatch + launch), and — subtractively, so the parts sum to
@@ -846,19 +829,6 @@ mod tests {
         assert!((rows[1].p99.exec_ns - 60.0).abs() < 1e-12);
         assert!(rep.latency_breakdown().len() == 2);
         assert!(ServeReport::default().latency_breakdown().is_empty());
-    }
-
-    #[test]
-    fn batch_cache_hit_rate_is_zero_when_never_consulted() {
-        let rep = ServeReport::default();
-        assert_eq!(rep.batch_cache_hit_rate(), 0.0);
-        assert!(!rep.batch_cache_hit_rate().is_nan());
-        let warm = ServeReport {
-            batch_cache_hits: 3,
-            batch_cache_misses: 1,
-            ..ServeReport::default()
-        };
-        assert!((warm.batch_cache_hit_rate() - 0.75).abs() < 1e-12);
     }
 
     #[test]

@@ -68,7 +68,6 @@
 //! With `power_budget_w: None` the pipeline is byte-identical to the
 //! uncapped runtime.
 
-use crate::cache::{BatchPrice, BatchPriceCache};
 use crate::report::{BatchRecord, PowerSample, QueueSample, RequestOutcome, ServeReport};
 use crate::request::ServeRequest;
 use crate::traffic::{request_input, ClosedLoopConfig};
@@ -154,13 +153,6 @@ pub struct ServeConfig {
     /// exceeding the cap. `None` (seed-faithful) admits on latency
     /// policy alone.
     pub power_budget_w: Option<f64>,
-    /// Memoise the pure part of batch pricing (host planning cost and
-    /// engine execution) on the batch signature — tenant, output width
-    /// and member input vectors (see [`crate::cache::BatchPriceCache`]).
-    /// Observational only: cached and uncached serving are bit-for-bit
-    /// identical, because the stateful fetch-queue and residency pricing
-    /// always run live. Disable for cache-equivalence testing.
-    pub batch_cache: bool,
 }
 
 impl Default for ServeConfig {
@@ -180,7 +172,6 @@ impl Default for ServeConfig {
     /// | `residency_slots` | `1` | one flat module-wide budget |
     /// | `power_window_ns` | `1e6` | rolling power window, 1 ms |
     /// | `power_budget_w` | `None` | no power cap |
-    /// | `batch_cache` | `true` | memoise pure batch pricing |
     fn default() -> Self {
         Self {
             window_ns: 0.0,
@@ -194,7 +185,6 @@ impl Default for ServeConfig {
             residency_slots: 1,
             power_window_ns: 1e6,
             power_budget_w: None,
-            batch_cache: true,
         }
     }
 }
@@ -316,13 +306,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enables or disables the priced-batch cache (default on).
-    #[must_use]
-    pub fn batch_cache(mut self, v: bool) -> Self {
-        self.cfg.batch_cache = v;
-        self
-    }
-
     /// Attaches a trace sink to the runtime built by
     /// [`Self::build_runtime`]. The sink observes the full serving
     /// pipeline: per-request lifecycle and batch spans here, engine
@@ -436,24 +419,13 @@ impl ServeConfig {
 /// The serving runtime: owns a configured engine and prices request
 /// traces through the admit → fetch → plan → execute pipeline.
 ///
-/// Clones share the priced-batch cache (and, through the engine, the
-/// plan/pricing cache), so clones warm each other.
+/// Clones share the engine's plan/pricing cache, so clones warm each
+/// other.
 #[derive(Debug, Clone)]
 pub struct ServeRuntime {
     engine: C2mEngine,
     cfg: ServeConfig,
-    batch_cache: Option<Arc<BatchPriceCache>>,
     trace: Option<Arc<dyn TraceSink>>,
-}
-
-/// Cumulative cache tallies at the start of a run. Subtracted from the
-/// end-of-run totals so each [`ServeReport`] carries only the hits and
-/// misses that run generated.
-#[derive(Debug, Clone, Copy)]
-struct CacheBaseline {
-    batch_hits: u64,
-    batch_misses: u64,
-    engine: CacheCounters,
 }
 
 /// Pipeline clock state threaded through batch dispatches.
@@ -609,13 +581,9 @@ impl ServeRuntime {
                  floor {floor} W — no schedule can comply"
             );
         }
-        let batch_cache = cfg
-            .batch_cache
-            .then(|| Arc::new(BatchPriceCache::default()));
         Self {
             engine,
             cfg,
-            batch_cache,
             trace: None,
         }
     }
@@ -666,7 +634,7 @@ impl ServeRuntime {
     /// Serves an open-loop trace (arrivals fixed in advance) and
     /// reports per-request latencies, batch records and queue depth.
     pub fn run(&self, requests: &[ServeRequest]) -> ServeReport {
-        let cache_base = self.cache_baseline();
+        let cache_base = self.engine.cache_stats();
         let mut q = PendingQueue::default();
         for r in requests {
             q.push(r.clone());
@@ -704,7 +672,7 @@ impl ServeRuntime {
     /// Panics if the tenant list is empty.
     pub fn run_closed_loop(&self, cfg: &ClosedLoopConfig) -> ServeReport {
         assert!(!cfg.tenants.is_empty(), "at least one tenant required");
-        let cache_base = self.cache_baseline();
+        let cache_base = self.engine.cache_stats();
         let mut remaining = vec![cfg.requests_per_client; cfg.clients];
         // Ids are issued sequentially, so `client_of[id]` recovers the
         // owning client without threading tuples through the batcher.
@@ -807,28 +775,14 @@ impl ServeRuntime {
         }
     }
 
-    /// The cumulative cache tallies (priced-batch and engine
-    /// plan/stream/report) right now — snapshotted at run start so a
-    /// finished report can carry per-run deltas.
-    fn cache_baseline(&self) -> CacheBaseline {
-        CacheBaseline {
-            batch_hits: self.batch_cache.as_ref().map_or(0, |c| c.hits()),
-            batch_misses: self.batch_cache.as_ref().map_or(0, |c| c.misses()),
-            engine: self.engine.cache_stats(),
-        }
-    }
-
-    /// Stamps the cache tallies accumulated *during this run* (current
-    /// cumulative totals minus the run-start `base` snapshot) into a
-    /// finished report. Observational only: back-to-back runs on one
-    /// runtime each report only their own hits and misses, not the
-    /// runtime's lifetime totals.
-    fn stamp_cache_counters(&self, report: &mut ServeReport, base: &CacheBaseline) {
-        if let Some(c) = &self.batch_cache {
-            report.batch_cache_hits = c.hits().saturating_sub(base.batch_hits);
-            report.batch_cache_misses = c.misses().saturating_sub(base.batch_misses);
-        }
-        report.engine_cache = self.engine.cache_stats().delta_since(&base.engine);
+    /// Stamps the engine cache tallies accumulated *during this run*
+    /// (current cumulative totals minus the run-start `base` snapshot of
+    /// [`C2mEngine::cache_stats`]) into a finished report.
+    /// Observational only: back-to-back runs on one runtime each report
+    /// only their own hits and misses, not the runtime's lifetime
+    /// totals.
+    fn stamp_cache_counters(&self, report: &mut ServeReport, base: &CacheCounters) {
+        report.engine_cache = self.engine.cache_stats().delta_since(base);
     }
 
     /// A fresh FR-FCFS queue over the engine's host-visible banks,
@@ -1055,12 +1009,23 @@ impl ServeRuntime {
             .count() as u64;
         let fetch_done = fetch.makespan_ns();
 
-        // The pure part of the pricing — host planning sequences and
-        // the engine launch — depends only on the batch's own content,
-        // so it memoises on the batch signature. The stateful parts
-        // (fetch queue, residency LRU) always run live above/below.
-        let pure = self.pure_price(batch);
-        let plan_ns = pure.plan_seqs * self.cfg.host_ns_per_seq;
+        // Host planning: the real IARM pass over each request's
+        // doubled ternary stream (through the engine's stream cache),
+        // costed per emitted sequence. Then the engine launch: the seed
+        // GEMV path for a lone request (bit compatible with the paper
+        // model), the row-sharded batch entry point otherwise; its
+        // ledger total carries the batch's execution energy.
+        let plan_seqs = batch
+            .iter()
+            .map(|r| self.engine.cached_sequences_for_doubled(&r.x) as f64)
+            .sum::<f64>();
+        let plan_ns = plan_seqs * self.cfg.host_ns_per_seq;
+        let exec = if batch.len() == 1 {
+            self.engine.ternary_gemv(&batch[0].x, batch[0].n)
+        } else {
+            let xs: Vec<&[i64]> = batch.iter().map(|r| r.x.as_slice()).collect();
+            self.engine.ternary_gemv_batch(&xs, batch[0].n)
+        };
 
         // Tenant residency: dispatching a non-resident tenant streams
         // its mask planes back into the CIM subarrays before execution
@@ -1098,47 +1063,10 @@ impl ServeRuntime {
             reload_rows,
             reload_ns,
             reload_energy_nj,
-            exec_ns: pure.exec_ns,
-            exec_energy_nj: pure.exec_energy_nj,
+            exec_ns: exec.elapsed_ns,
+            exec_energy_nj: exec.energy_nj,
             hits,
             accesses,
-        }
-    }
-
-    /// The content-only part of a batch's pricing: the host planning
-    /// sequence count and the engine launch — the seed GEMV path for a
-    /// lone request (bit compatible with the paper model), the
-    /// row-sharded batch entry point otherwise. Memoised on the batch
-    /// signature when the priced-batch cache is enabled.
-    fn pure_price(&self, batch: &[ServeRequest]) -> BatchPrice {
-        let compute = || {
-            // Host planning: the real IARM pass over each request's
-            // doubled ternary stream (through the engine's stream
-            // cache), costed per emitted sequence by the caller.
-            let plan_seqs = batch
-                .iter()
-                .map(|r| self.engine.cached_sequences_for_doubled(&r.x) as f64)
-                .sum::<f64>();
-            // The launch report's ledger total carries the batch's
-            // execution energy.
-            let exec = if batch.len() == 1 {
-                self.engine.ternary_gemv(&batch[0].x, batch[0].n)
-            } else {
-                let xs: Vec<&[i64]> = batch.iter().map(|r| r.x.as_slice()).collect();
-                self.engine.ternary_gemv_batch(&xs, batch[0].n)
-            };
-            BatchPrice {
-                plan_seqs,
-                exec_ns: exec.elapsed_ns,
-                exec_energy_nj: exec.energy_nj,
-            }
-        };
-        match &self.batch_cache {
-            Some(c) => {
-                let xs: Vec<&[i64]> = batch.iter().map(|r| r.x.as_slice()).collect();
-                c.price(batch[0].tenant, batch[0].n, &xs, compute)
-            }
-            None => compute(),
         }
     }
 
@@ -1901,7 +1829,7 @@ mod tests {
         );
     }
 
-    // ---- config builder and priced-batch cache ----
+    // ---- config builder and cache tallies ----
 
     #[test]
     fn config_builder_mirrors_struct_literals() {
@@ -1917,7 +1845,6 @@ mod tests {
             .residency_slots(4)
             .power_window_ns(2e6)
             .power_budget_w(12.0)
-            .batch_cache(false)
             .build();
         let literal = ServeConfig {
             window_ns: 5e5,
@@ -1931,7 +1858,6 @@ mod tests {
             residency_slots: 4,
             power_window_ns: 2e6,
             power_budget_w: Some(12.0),
-            batch_cache: false,
         };
         assert_eq!(format!("{built:?}"), format!("{literal:?}"));
     }
@@ -1955,59 +1881,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_cache_on_and_off_serve_identically() {
-        // The cache memoises only the content-pure pricing, so every
-        // observable number — latencies, energy, power, batch shapes —
-        // must be bit-for-bit the same with it on or off.
-        let reqs = trace(48, 2);
-        for channels in [1usize, 4] {
-            let cached = ServeRuntime::new(engine(channels), cfg(4, 1e6)).run(&reqs);
-            let uncached_cfg = ServeConfig {
-                batch_cache: false,
-                ..cfg(4, 1e6)
-            };
-            let uncached = ServeRuntime::new(engine(channels), uncached_cfg).run(&reqs);
-            assert!(cached.batch_cache_hits + cached.batch_cache_misses > 0);
-            assert_eq!(uncached.batch_cache_hits, 0);
-            assert_eq!(uncached.batch_cache_misses, 0);
-            for (a, b) in cached.outcomes.iter().zip(&uncached.outcomes) {
-                assert_eq!(a.id, b.id);
-                assert_eq!(a.completion_ns.to_bits(), b.completion_ns.to_bits());
-            }
-            for (a, b) in cached.batches.iter().zip(&uncached.batches) {
-                assert_eq!(a.size, b.size);
-                assert_eq!(a.exec_ns.to_bits(), b.exec_ns.to_bits());
-                assert_eq!(a.energy_nj.to_bits(), b.energy_nj.to_bits());
-            }
-            assert_eq!(
-                cached.joules_per_request().to_bits(),
-                uncached.joules_per_request().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn repeated_compositions_hit_the_batch_cache() {
-        // Equal-cost jobs from one tenant: after the first composition
-        // of each batch size is priced, repeats are hits.
-        let reqs: Vec<ServeRequest> = (0..32)
-            .map(|i| req(i, i as f64 * 10.0, 0, ServiceClass::BEST_EFFORT))
-            .collect();
-        let rep = ServeRuntime::new(engine(1), cfg(4, 1e6)).run(&reqs);
-        assert!(
-            rep.batch_cache_hits > 0,
-            "identical compositions must hit (hits {}, misses {})",
-            rep.batch_cache_hits,
-            rep.batch_cache_misses
-        );
-        assert!(rep.batch_cache_hit_rate() > 0.5);
-        // The engine-level caches warm too: the plan pass and the exec
-        // pass share per-request stream entries, and a repeated launch
-        // short-circuits at the whole-report tier.
-        assert!(rep.engine_cache.stream_hits + rep.engine_cache.report_hits > 0);
-    }
-
-    #[test]
     fn reports_carry_per_run_cache_deltas() {
         // Back-to-back runs on one runtime: the second report must carry
         // only its own tallies, not the runtime's cumulative totals.
@@ -2015,11 +1888,13 @@ mod tests {
         let rt = ServeRuntime::new(engine(1), cfg(4, 1e6));
         let first = rt.run(&reqs);
         let second = rt.run(&reqs);
-        assert!(first.batch_cache_misses > 0, "cold run must miss");
+        assert!(
+            first.engine_cache.stream_misses + first.engine_cache.report_misses > 0,
+            "cold run must miss"
+        );
         // Run 2 re-prices the same compositions against the warm cache:
         // all hits, and crucially *no* carried-over misses from run 1.
-        assert_eq!(second.batch_cache_misses, 0);
-        assert!(second.batch_cache_hits > 0);
+        assert!(second.engine_cache.stream_hits + second.engine_cache.report_hits > 0);
         assert_eq!(
             second.engine_cache.plan_misses
                 + second.engine_cache.stream_misses

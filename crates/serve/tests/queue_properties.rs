@@ -20,10 +20,14 @@
 //!    topologies and launch shapes;
 //! 8. batching never costs joules: J/request under batched admission is
 //!    never above J/request of the serial one-at-a-time configuration
-//!    on the same trace.
+//!    on the same trace;
+//! 9. the O(banks)-per-issue FR-FCFS batch loop in
+//!    `RequestQueue::run_batched` equals a quadratic reference loop
+//!    bit for bit.
 
 use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_dram::{BatchWindow, MemoryRequest, RequestQueue, TimingParams};
+use c2m_dram::request::Completion;
+use c2m_dram::{BankState, BatchWindow, MemoryRequest, RequestQueue, TimingParams};
 use c2m_serve::{
     open_loop, OpenLoopConfig, SchedPolicy, ServeConfig, ServeReport, ServeRequest, ServeRuntime,
     ServiceClass, TenantSpec,
@@ -498,4 +502,180 @@ fn steady_state_sweep_hits_the_shared_cache_above_90_percent() {
     // And the warm-up itself already re-uses the single-channel stream
     // entries for the 4-channel plan pass.
     assert!(warm.stream_hits > 0);
+}
+
+/// The quadratic FR-FCFS batch loop `RequestQueue::run_batched` used
+/// before its O(banks)-per-issue rewrite, kept as the exactness oracle:
+/// every step rescans the whole batch for the earliest issue instant,
+/// then picks the oldest over-cap ready request, else the oldest ready
+/// row hit, else the oldest ready request. Built on the public
+/// `BankState` / `AccessKind::latency_ns` API and carrying bank and bus
+/// state across calls exactly as the queue does.
+struct ReferenceQueue {
+    timing: TimingParams,
+    banks: Vec<BankState>,
+    bank_ready: Vec<f64>,
+    bus_ready: f64,
+}
+
+impl ReferenceQueue {
+    fn new(timing: TimingParams, banks: usize) -> Self {
+        Self {
+            timing,
+            banks: vec![BankState::new(); banks],
+            bank_ready: vec![0.0; banks],
+            bus_ready: 0.0,
+        }
+    }
+
+    fn run_batched(&mut self, requests: &[MemoryRequest], window: BatchWindow) -> Vec<Completion> {
+        let mut pending: Vec<(usize, MemoryRequest)> =
+            requests.iter().copied().enumerate().collect();
+        pending.sort_by(|a, b| {
+            a.1.arrival_ns
+                .partial_cmp(&b.1.arrival_ns)
+                .expect("finite arrivals")
+                .then(a.0.cmp(&b.0))
+        });
+        let mut out = Vec::new();
+        let mut now = 0.0f64;
+        while !pending.is_empty() {
+            let t_open = pending[0].1.arrival_ns;
+            let take = pending
+                .iter()
+                .take_while(|(_, r)| r.arrival_ns - t_open <= window.window_ns)
+                .count()
+                .max(1);
+            let mut batch: Vec<(usize, MemoryRequest)> = pending.drain(..take).collect();
+            while !batch.is_empty() {
+                let t_min = batch
+                    .iter()
+                    .map(|(_, r)| {
+                        r.arrival_ns
+                            .max(self.bank_ready[r.bank])
+                            .max(self.bus_ready)
+                    })
+                    .fold(f64::INFINITY, f64::min);
+                now = now.max(t_min);
+                let ready: Vec<usize> = (0..batch.len())
+                    .filter(|&i| {
+                        let r = &batch[i].1;
+                        r.arrival_ns <= now
+                            && self.bank_ready[r.bank] <= now
+                            && self.bus_ready <= now
+                    })
+                    .collect();
+                let pick = ready
+                    .iter()
+                    .copied()
+                    .find(|&i| now - batch[i].1.arrival_ns > window.max_wait_ns)
+                    .or_else(|| {
+                        ready.iter().copied().find(|&i| {
+                            let r = &batch[i].1;
+                            self.banks[r.bank].would_hit(r.row)
+                        })
+                    })
+                    .unwrap_or(ready[0]);
+                let (_, req) = batch.remove(pick);
+                let kind = self.banks[req.bank].access(req.row);
+                let finish = now + kind.latency_ns(&self.timing);
+                self.bank_ready[req.bank] = finish;
+                self.bus_ready = now + self.timing.t_burst;
+                out.push(Completion {
+                    request: req,
+                    issue_ns: now,
+                    finish_ns: finish,
+                    kind,
+                });
+            }
+        }
+        out
+    }
+}
+
+/// A random trace with tied arrivals: arrival ticks repeat, land out of
+/// submission order, and step by `tick_ns`.
+fn tied_trace(
+    len: usize,
+    banks: usize,
+    rows: usize,
+    tick_ns: f64,
+    seed: u64,
+) -> Vec<MemoryRequest> {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(7);
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) as usize
+    };
+    (0..len)
+        .map(|_| {
+            let tick = next() % (len / 2 + 1);
+            MemoryRequest::read(tick as f64 * tick_ns, next() % banks, next() % rows)
+        })
+        .collect()
+}
+
+/// Bitwise equality of two completion lists.
+fn same_completions(a: &[Completion], b: &[Completion]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| {
+            x.request == y.request
+                && x.issue_ns.to_bits() == y.issue_ns.to_bits()
+                && x.finish_ns.to_bits() == y.finish_ns.to_bits()
+                && x.kind == y.kind
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Invariant 9: the O(banks)-per-issue `run_batched` reproduces the
+    /// quadratic reference bit for bit — every completion and the final
+    /// bank states — across bank and row counts, tied arrivals, zero,
+    /// finite and unbounded windows, and starvation caps tight enough
+    /// to fire. Two consecutive calls on one queue check the bank, bus
+    /// and row-buffer state carried between batches, as serving does.
+    #[test]
+    fn run_batched_matches_the_quadratic_reference(
+        (banks, rows) in (1usize..17, 1usize..9),
+        (len_a, len_b) in (1usize..160, 0usize..80),
+        tick_tenths in 0u32..200,
+        (window_kind, window_tenths) in (0usize..3, 1u32..2_000),
+        (cap_kind, cap_tenths) in (0usize..3, 0u32..2_000),
+        seed in 0u64..10_000,
+    ) {
+        let t = TimingParams::ddr5_4400();
+        let tick = f64::from(tick_tenths) / 10.0;
+        let window_ns = [0.0, f64::from(window_tenths) / 10.0, f64::INFINITY][window_kind];
+        let max_wait_ns = [
+            f64::from(cap_tenths) / 10.0,
+            BatchWindow::DEFAULT_MAX_WAIT_NS,
+            f64::INFINITY,
+        ][cap_kind];
+        let window = BatchWindow { window_ns, max_wait_ns };
+        let first = tied_trace(len_a, banks, rows, tick, seed);
+        // The second call arrives after the first, as serve's next
+        // dispatch does, and may start before the banks drain.
+        let offset = len_a as f64 * tick;
+        let second: Vec<MemoryRequest> = tied_trace(len_b, banks, rows, tick, seed ^ 0xABCD)
+            .into_iter()
+            .map(|r| MemoryRequest { arrival_ns: r.arrival_ns + offset, ..r })
+            .collect();
+        let mut fast = RequestQueue::new(t, banks);
+        let mut slow = ReferenceQueue::new(t, banks);
+        for reqs in [&first, &second] {
+            let got = fast.run_batched(reqs, window).completions;
+            let want = slow.run_batched(reqs, window);
+            prop_assert!(
+                same_completions(&got, &want),
+                "completions differ (banks {}, rows {}, window {:?})",
+                banks,
+                rows,
+                window
+            );
+            prop_assert_eq!(fast.bank_states(), &slow.banks[..]);
+        }
+    }
 }
