@@ -6,6 +6,9 @@
 //! * `iarm_planning` — Fig. 8b host-side planning.
 //! * `gemv_functional` — Figs. 14–16 kernels at test scale.
 //! * `ecc_codes` — §6 codes (SECDED + BCH encode/correct).
+//! * `fault_layers` — the bit-accurate fault Monte Carlo of Figs. 4, 13
+//!   and 17b, layer by layer: an ECC-protected counter bank, the
+//!   XOR-embedding protected AND, and the per-row fault sampler.
 //! * `rca_baseline` — the SIMDRAM adder of Figs. 4/8/17.
 //! * `mig` — §4.2 synthesis pipeline (optimise + lower).
 //! * `rs` — Reed–Solomon encode/correct (§6.1's symbol-level ECC).
@@ -101,6 +104,36 @@ fn bench_ecc_codes(c: &mut Criterion) {
             d[40] = !d[40];
             bch.correct(black_box(&mut d), &mut ch)
         })
+    });
+}
+
+fn bench_fault_layers(c: &mut Criterion) {
+    use c2m_cim::FaultModel;
+    use c2m_ecc::protect::{EccProtection, ProtectionKind};
+    let lanes = 512;
+    let mut bank = CounterBank::with_faults(
+        10,
+        5,
+        lanes,
+        FaultModel::new(1e-3, 1),
+        ProtectionKind::ecc_default(),
+    );
+    let mask = Row::from_bits((0..lanes).map(|i| i % 3 != 0));
+    c.bench_function("counter_bank/accumulate_ripple_ecc_512lanes_1e-3", |b| {
+        b.iter(|| bank.accumulate_ripple(black_box(9), &mask))
+    });
+
+    let mut prot = EccProtection::new(2, FaultModel::new(1e-2, 2));
+    let a = Row::from_bits((0..64).map(|i| i % 2 == 0));
+    let m = Row::from_bits((0..64).map(|i| i % 7 < 4));
+    c.bench_function("ecc/protected_and_64_1e-2", |b| {
+        b.iter(|| prot.protected_and(black_box(&a), &m))
+    });
+
+    let mut faults = FaultModel::new(1e-4, 3);
+    let mut row = Row::zeros(512);
+    c.bench_function("fault/perturb_512_1e-4", |b| {
+        b.iter(|| faults.perturb(black_box(&mut row)))
     });
 }
 
@@ -216,6 +249,7 @@ criterion_group!(
     bench_iarm_planning,
     bench_gemv_functional,
     bench_ecc_codes,
+    bench_fault_layers,
     bench_rca_baseline,
     bench_mig_pipeline,
     bench_rs_codec,

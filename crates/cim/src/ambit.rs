@@ -169,11 +169,103 @@ impl FromIterator<MicroOp> for MicroProgram {
 #[derive(Debug, Clone)]
 pub struct AmbitSubarray {
     width: usize,
+    cells: Cells,
+    /// The value sensed by the last activation.
+    sensed: Row,
+    fault: FaultModel,
+    stats: CommandStats,
+}
+
+/// The subarray's D-group and B-group rows.
+#[derive(Debug, Clone)]
+struct Cells {
     data: Vec<Row>,
     t: [Row; 4],
     dcc: [Row; 2],
-    fault: FaultModel,
-    stats: CommandStats,
+}
+
+impl Cells {
+    /// Copies the value sensed at a single- or pair-row address into
+    /// `out`.
+    fn read_into(&self, addr: AmbitAddr, out: &mut Row) {
+        match addr {
+            AmbitAddr::Data(i) => out.clone_from(&self.data[i]),
+            AmbitAddr::T(i) => out.clone_from(&self.t[usize::from(i)]),
+            AmbitAddr::Dcc(i) => out.clone_from(&self.dcc[usize::from(i)]),
+            AmbitAddr::DccNeg(i) => {
+                out.clone_from(&self.dcc[usize::from(i)]);
+                out.invert();
+            }
+            AmbitAddr::C0 => out.clear(),
+            AmbitAddr::C1 => {
+                out.clear();
+                out.invert();
+            }
+            // Reading a pair assumes both cells hold the same logical
+            // value (as left by a prior pair write).
+            AmbitAddr::PairT0Dcc0 => out.clone_from(&self.t[0]),
+            AmbitAddr::PairT1Dcc1 => out.clone_from(&self.t[1]),
+            AmbitAddr::PairT2T3 => out.clone_from(&self.t[2]),
+            _ => unreachable!("triple addresses are sensed by a TRA"),
+        }
+    }
+
+    /// The three rows a triple address activates.
+    fn triple(&self, addr: AmbitAddr) -> (&Row, &Row, &Row) {
+        match addr {
+            AmbitAddr::TripleT0T1Dcc0 => (&self.t[0], &self.t[1], &self.dcc[0]),
+            AmbitAddr::TripleT0T1T2 => (&self.t[0], &self.t[1], &self.t[2]),
+            AmbitAddr::TripleT1T2T3 => (&self.t[1], &self.t[2], &self.t[3]),
+            AmbitAddr::TripleT1T2Dcc0 => (&self.t[1], &self.t[2], &self.dcc[0]),
+            AmbitAddr::TripleT0T3Dcc1 => (&self.t[0], &self.t[3], &self.dcc[1]),
+            _ => unreachable!("not a triple address"),
+        }
+    }
+
+    fn write(&mut self, addr: AmbitAddr, v: &Row) {
+        let [t0, t1, t2, t3] = &mut self.t;
+        let [dcc0, dcc1] = &mut self.dcc;
+        match addr {
+            AmbitAddr::Data(i) => self.data[i].clone_from(v),
+            AmbitAddr::T(i) => self.t[usize::from(i)].clone_from(v),
+            // Writing through the true wordline stores the value; through
+            // the negated wordline stores its complement (so a subsequent
+            // true-wordline read yields the complement of what was driven).
+            AmbitAddr::Dcc(i) => self.dcc[usize::from(i)].clone_from(v),
+            AmbitAddr::DccNeg(i) => drive_negated(v, &mut self.dcc[usize::from(i)]),
+            AmbitAddr::C0 | AmbitAddr::C1 => {
+                // c2m-lint: allow(unwrap-in-lib, reason = "documented hardware contract: writing a C-group control row is a program bug")
+                panic!("C-group control rows are read-only")
+            }
+            AmbitAddr::PairT0Dcc0 => {
+                t0.clone_from(v);
+                drive_negated(v, dcc0);
+            }
+            AmbitAddr::PairT1Dcc1 => {
+                t1.clone_from(v);
+                drive_negated(v, dcc1);
+            }
+            AmbitAddr::PairT2T3 => drive(v, [t2, t3]),
+            AmbitAddr::TripleT0T1Dcc0 => drive(v, [t0, t1, dcc0]),
+            AmbitAddr::TripleT0T1T2 => drive(v, [t0, t1, t2]),
+            AmbitAddr::TripleT1T2T3 => drive(v, [t1, t2, t3]),
+            AmbitAddr::TripleT1T2Dcc0 => drive(v, [t1, t2, dcc0]),
+            AmbitAddr::TripleT0T3Dcc1 => drive(v, [t0, t3, dcc1]),
+        }
+    }
+}
+
+/// Stores `v` in every row of a multi-row activation.
+fn drive<const N: usize>(v: &Row, rows: [&mut Row; N]) {
+    for r in rows {
+        r.clone_from(v);
+    }
+}
+
+/// Stores `!v` through a DCC's negated wordline.
+fn drive_negated(v: &Row, cell: &mut Row) {
+    cell.clone_from(v);
+    cell.invert();
 }
 
 impl AmbitSubarray {
@@ -189,9 +281,12 @@ impl AmbitSubarray {
     pub fn with_faults(width: usize, data_rows: usize, fault: FaultModel) -> Self {
         Self {
             width,
-            data: vec![Row::zeros(width); data_rows],
-            t: std::array::from_fn(|_| Row::zeros(width)),
-            dcc: std::array::from_fn(|_| Row::zeros(width)),
+            cells: Cells {
+                data: vec![Row::zeros(width); data_rows],
+                t: std::array::from_fn(|_| Row::zeros(width)),
+                dcc: std::array::from_fn(|_| Row::zeros(width)),
+            },
+            sensed: Row::zeros(width),
             fault,
             stats: CommandStats::default(),
         }
@@ -206,7 +301,7 @@ impl AmbitSubarray {
     /// Number of D-group rows.
     #[must_use]
     pub fn data_rows(&self) -> usize {
-        self.data.len()
+        self.cells.data.len()
     }
 
     /// Commands executed so far.
@@ -233,7 +328,7 @@ impl AmbitSubarray {
     /// Panics if `row` is out of range.
     #[must_use]
     pub fn read_data(&self, row: usize) -> &Row {
-        &self.data[row]
+        &self.cells.data[row]
     }
 
     /// Writes a data row directly (host access path, not a CIM op).
@@ -243,20 +338,20 @@ impl AmbitSubarray {
     /// Panics if `row` is out of range or `value` has the wrong width.
     pub fn write_data(&mut self, row: usize, value: &Row) {
         assert_eq!(value.width(), self.width, "row width mismatch");
-        self.data[row] = value.clone();
+        self.cells.data[row].clone_from(value);
     }
 
     /// Executes one macro command.
     pub fn execute_op(&mut self, op: MicroOp) {
         match op {
             MicroOp::Aap(src, dst) => {
-                let v = self.activate_read(src);
-                self.write_addr(dst, &v);
+                self.activate(src);
+                self.cells.write(dst, &self.sensed);
                 self.stats.record(CommandKind::Aap);
             }
             MicroOp::Ap(addr) => {
                 assert!(addr.is_triple(), "AP requires a triple-row address");
-                let _ = self.activate_read(addr); // destructive TRA
+                self.activate(addr); // destructive TRA
                 self.stats.record(CommandKind::Ap);
             }
         }
@@ -269,107 +364,16 @@ impl AmbitSubarray {
         }
     }
 
-    /// Sensed value when activating `addr`. Triple addresses perform the
+    /// Senses `addr` into `self.sensed`. Triple addresses perform the
     /// destructive MAJ3 (with fault injection) as a side effect.
-    fn activate_read(&mut self, addr: AmbitAddr) -> Row {
-        match addr {
-            AmbitAddr::Data(i) => self.data[i].clone(),
-            AmbitAddr::T(i) => self.t[usize::from(i)].clone(),
-            AmbitAddr::Dcc(i) => self.dcc[usize::from(i)].clone(),
-            AmbitAddr::DccNeg(i) => self.dcc[usize::from(i)].not(),
-            AmbitAddr::C0 => Row::zeros(self.width),
-            AmbitAddr::C1 => Row::ones(self.width),
-            AmbitAddr::PairT0Dcc0 => {
-                // Reading a pair assumes both cells hold the same logical
-                // value (as left by a prior pair write).
-                self.t[0].clone()
-            }
-            AmbitAddr::PairT1Dcc1 => self.t[1].clone(),
-            AmbitAddr::PairT2T3 => self.t[2].clone(),
-            triple => {
-                let (a, b, c) = self.triple_rows(triple);
-                let mut m = Row::maj3(&a, &b, &c);
-                self.fault.perturb(&mut m);
-                self.write_triple(triple, &m);
-                m
-            }
-        }
-    }
-
-    fn triple_rows(&self, addr: AmbitAddr) -> (Row, Row, Row) {
-        match addr {
-            AmbitAddr::TripleT0T1Dcc0 => {
-                (self.t[0].clone(), self.t[1].clone(), self.dcc[0].clone())
-            }
-            AmbitAddr::TripleT0T1T2 => (self.t[0].clone(), self.t[1].clone(), self.t[2].clone()),
-            AmbitAddr::TripleT1T2T3 => (self.t[1].clone(), self.t[2].clone(), self.t[3].clone()),
-            AmbitAddr::TripleT1T2Dcc0 => {
-                (self.t[1].clone(), self.t[2].clone(), self.dcc[0].clone())
-            }
-            AmbitAddr::TripleT0T3Dcc1 => {
-                (self.t[0].clone(), self.t[3].clone(), self.dcc[1].clone())
-            }
-            _ => unreachable!("not a triple address"),
-        }
-    }
-
-    fn write_triple(&mut self, addr: AmbitAddr, v: &Row) {
-        match addr {
-            AmbitAddr::TripleT0T1Dcc0 => {
-                self.t[0] = v.clone();
-                self.t[1] = v.clone();
-                self.dcc[0] = v.clone();
-            }
-            AmbitAddr::TripleT0T1T2 => {
-                self.t[0] = v.clone();
-                self.t[1] = v.clone();
-                self.t[2] = v.clone();
-            }
-            AmbitAddr::TripleT1T2T3 => {
-                self.t[1] = v.clone();
-                self.t[2] = v.clone();
-                self.t[3] = v.clone();
-            }
-            AmbitAddr::TripleT1T2Dcc0 => {
-                self.t[1] = v.clone();
-                self.t[2] = v.clone();
-                self.dcc[0] = v.clone();
-            }
-            AmbitAddr::TripleT0T3Dcc1 => {
-                self.t[0] = v.clone();
-                self.t[3] = v.clone();
-                self.dcc[1] = v.clone();
-            }
-            _ => unreachable!("not a triple address"),
-        }
-    }
-
-    fn write_addr(&mut self, addr: AmbitAddr, v: &Row) {
-        match addr {
-            AmbitAddr::Data(i) => self.data[i] = v.clone(),
-            AmbitAddr::T(i) => self.t[usize::from(i)] = v.clone(),
-            // Writing through the true wordline stores the value; through
-            // the negated wordline stores its complement (so a subsequent
-            // true-wordline read yields the complement of what was driven).
-            AmbitAddr::Dcc(i) => self.dcc[usize::from(i)] = v.clone(),
-            AmbitAddr::DccNeg(i) => self.dcc[usize::from(i)] = v.not(),
-            AmbitAddr::C0 | AmbitAddr::C1 => {
-                // c2m-lint: allow(unwrap-in-lib, reason = "documented hardware contract: writing a C-group control row is a program bug")
-                panic!("C-group control rows are read-only")
-            }
-            AmbitAddr::PairT0Dcc0 => {
-                self.t[0] = v.clone();
-                self.dcc[0] = v.not();
-            }
-            AmbitAddr::PairT1Dcc1 => {
-                self.t[1] = v.clone();
-                self.dcc[1] = v.not();
-            }
-            AmbitAddr::PairT2T3 => {
-                self.t[2] = v.clone();
-                self.t[3] = v.clone();
-            }
-            triple => self.write_triple(triple, v),
+    fn activate(&mut self, addr: AmbitAddr) {
+        if addr.is_triple() {
+            let (a, b, c) = self.cells.triple(addr);
+            self.sensed.assign_maj3(a, b, c);
+            self.fault.perturb(&mut self.sensed);
+            self.cells.write(addr, &self.sensed);
+        } else {
+            self.cells.read_into(addr, &mut self.sensed);
         }
     }
 }

@@ -16,6 +16,13 @@ use rand_chacha::ChaCha12Rng;
 #[derive(Debug, Clone)]
 pub struct FaultModel {
     rate: f64,
+    /// `ln(1 − rate)`, the geometric sampler's log survival per column.
+    /// `ln_1p` keeps precision for tiny rates (`ln(1 − p)` underflows to
+    /// −0.0 below ~1e-16, which would otherwise flip every bit).
+    ln_q: f64,
+    /// The last perturbed width and its skip threshold: a first draw
+    /// below the threshold skips past the whole row (see `perturb`).
+    skip: (usize, f64),
     rng: ChaCha12Rng,
     injected: u64,
 }
@@ -32,6 +39,8 @@ impl FaultModel {
         assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0,1]");
         Self {
             rate,
+            ln_q: (-rate).ln_1p(),
+            skip: (0, 0.0),
             rng: ChaCha12Rng::seed_from_u64(seed),
             injected: 0,
         }
@@ -71,14 +80,23 @@ impl FaultModel {
             }
             return;
         }
-        // Geometric skips: next fault index gap ~ Geom(rate). ln_1p keeps
-        // precision for tiny rates (ln(1-p) underflows to -0.0 below
-        // ~1e-16, which would otherwise flip every bit).
-        let ln_q = (-self.rate).ln_1p();
+        // Geometric skips: next fault index gap ~ Geom(rate).
+        //
+        // The first gap reaches past the row exactly when
+        // `u <= (1 − rate)^width`. A draw below that bound shrunk by 1e-9
+        // (far above the ln/exp rounding error) skips the row without
+        // the logarithm; draws in the margin band take the exact loop.
+        // Either way the call makes the same draws.
+        if self.skip.0 != width {
+            self.skip = (width, (width as f64 * self.ln_q).exp() * (1.0 - 1e-9));
+        }
+        let mut u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        if u < self.skip.1 {
+            return;
+        }
         let mut i = 0usize;
         loop {
-            let u: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-            let skip = (u.ln() / ln_q).floor() as usize;
+            let skip = (u.ln() / self.ln_q).floor() as usize;
             i = match i.checked_add(skip) {
                 Some(v) => v,
                 None => break,
@@ -89,6 +107,7 @@ impl FaultModel {
             row.flip(i);
             self.injected += 1;
             i += 1;
+            u = self.rng.gen_range(f64::EPSILON..1.0);
         }
     }
 
@@ -167,6 +186,64 @@ mod tests {
         }
         assert_eq!(r.count_ones(), 0);
         assert_eq!(fm.injected(), 0);
+    }
+
+    /// The geometric sampler without the first-draw fast path: the exact
+    /// loop `perturb` must reproduce, flip for flip and draw for draw.
+    fn reference_perturb(rate: f64, rng: &mut ChaCha12Rng, row: &mut Row, injected: &mut u64) {
+        if rate <= 0.0 {
+            return;
+        }
+        let width = row.width();
+        if rate >= 1.0 {
+            for i in 0..width {
+                row.flip(i);
+                *injected += 1;
+            }
+            return;
+        }
+        let ln_q = (-rate).ln_1p();
+        let mut i = 0usize;
+        loop {
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let skip = (u.ln() / ln_q).floor() as usize;
+            i = match i.checked_add(skip) {
+                Some(v) => v,
+                None => break,
+            };
+            if i >= width {
+                break;
+            }
+            row.flip(i);
+            *injected += 1;
+            i += 1;
+        }
+    }
+
+    #[test]
+    fn perturb_matches_exact_sampler() {
+        let rates = [1e-20, 1e-12, 1e-4, 1e-2, 0.5, 0.999, 1.0];
+        let widths = (1..=64).chain([65, 100, 127, 128, 200, 511, 512, 777, 1000, 1024]);
+        for (ri, &rate) in rates.iter().enumerate() {
+            for width in widths.clone() {
+                let seed = (ri * 4096 + width) as u64;
+                let mut fm = FaultModel::new(rate, seed);
+                let mut rng = ChaCha12Rng::seed_from_u64(seed);
+                let mut injected = 0;
+                // Repeated calls at one width, then one at another width
+                // and back, so a stale per-width threshold would show.
+                let other = width % 97 + 1;
+                for w in [width, width, width, other, width] {
+                    let mut fast = Row::zeros(w);
+                    let mut exact = Row::zeros(w);
+                    fm.perturb(&mut fast);
+                    reference_perturb(rate, &mut rng, &mut exact, &mut injected);
+                    assert_eq!(fast, exact, "rate {rate} width {w}");
+                    assert_eq!(fm.injected(), injected, "rate {rate} width {w}");
+                }
+                assert_eq!(fm.rng.gen::<u64>(), rng.gen::<u64>(), "rate {rate}");
+            }
+        }
     }
 
     #[test]

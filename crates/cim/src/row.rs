@@ -7,12 +7,29 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::{BitAndAssign, BitOrAssign};
 
-/// One DRAM row: `width` bit columns, bit-packed.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// One DRAM row: `width` bit columns, bit-packed. Bits past `width` in the
+/// last word are always zero.
+#[derive(PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Row {
     width: usize,
     words: Vec<u64>,
+}
+
+impl Clone for Row {
+    fn clone(&self) -> Self {
+        Self {
+            width: self.width,
+            words: self.words.clone(),
+        }
+    }
+
+    /// Reuses `self`'s word buffer (the derived impl would reallocate).
+    fn clone_from(&mut self, source: &Self) {
+        self.width = source.width;
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl Row {
@@ -132,11 +149,8 @@ impl Row {
     /// Bitwise NOT.
     #[must_use]
     pub fn not(&self) -> Row {
-        let mut r = Row {
-            width: self.width,
-            words: self.words.iter().map(|w| !w).collect(),
-        };
-        r.mask_tail();
+        let mut r = self.clone();
+        r.invert();
         r
     }
 
@@ -148,19 +162,60 @@ impl Row {
     /// Panics if widths differ.
     #[must_use]
     pub fn maj3(a: &Row, b: &Row, c: &Row) -> Row {
+        let mut r = Row {
+            width: a.width,
+            words: Vec::with_capacity(a.words.len()),
+        };
+        r.assign_maj3(a, b, c);
+        r
+    }
+
+    /// The packed 64-bit words, column 0 in bit 0 of word 0; bits past
+    /// `width` are zero.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Clears every column in place.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// In-place bitwise NOT.
+    pub fn invert(&mut self) {
+        for w in &mut self.words {
+            *w = !*w;
+        }
+        self.mask_tail();
+    }
+
+    /// In place `self = a & !m`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn assign_and_not(&mut self, a: &Row, m: &Row) {
+        self.assign_with(a, m, |x, y| x & !y);
+    }
+
+    /// In-place [`Row::maj3`]: `self = MAJ3(a, b, c)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if widths differ.
+    pub fn assign_maj3(&mut self, a: &Row, b: &Row, c: &Row) {
         assert_eq!(a.width, b.width, "row width mismatch");
         assert_eq!(a.width, c.width, "row width mismatch");
-        let words = a
-            .words
-            .iter()
-            .zip(&b.words)
-            .zip(&c.words)
-            .map(|((&x, &y), &z)| (x & y) | (y & z) | (x & z))
-            .collect();
-        Row {
-            width: a.width,
-            words,
-        }
+        self.width = a.width;
+        self.words.clear();
+        self.words.extend(
+            a.words
+                .iter()
+                .zip(&b.words)
+                .zip(&c.words)
+                .map(|((&x, &y), &z)| (x & y) | (y & z) | (x & z)),
+        );
     }
 
     /// Iterates over the column bits (column 0 first).
@@ -185,15 +240,27 @@ impl Row {
     }
 
     fn zip(&self, other: &Row, f: impl Fn(u64, u64) -> u64) -> Row {
-        assert_eq!(self.width, other.width, "row width mismatch");
-        Row {
+        let mut r = Row {
             width: self.width,
-            words: self
-                .words
-                .iter()
-                .zip(&other.words)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            words: Vec::with_capacity(self.words.len()),
+        };
+        r.assign_with(self, other, f);
+        r
+    }
+
+    /// `self = f(a, b)` word by word; `f` must map zero tails to zero.
+    fn assign_with(&mut self, a: &Row, b: &Row, f: impl Fn(u64, u64) -> u64) {
+        assert_eq!(a.width, b.width, "row width mismatch");
+        self.width = a.width;
+        self.words.clear();
+        self.words
+            .extend(a.words.iter().zip(&b.words).map(|(&x, &y)| f(x, y)));
+    }
+
+    fn zip_assign(&mut self, other: &Row, f: impl Fn(u64, u64) -> u64) {
+        assert_eq!(self.width, other.width, "row width mismatch");
+        for (w, &o) in self.words.iter_mut().zip(&other.words) {
+            *w = f(*w, o);
         }
     }
 
@@ -204,6 +271,18 @@ impl Row {
                 *last &= (1u64 << rem) - 1;
             }
         }
+    }
+}
+
+impl BitAndAssign<&Row> for Row {
+    fn bitand_assign(&mut self, rhs: &Row) {
+        self.zip_assign(rhs, |a, b| a & b);
+    }
+}
+
+impl BitOrAssign<&Row> for Row {
+    fn bitor_assign(&mut self, rhs: &Row) {
+        self.zip_assign(rhs, |a, b| a | b);
     }
 }
 
@@ -299,6 +378,31 @@ mod tests {
     #[should_panic(expected = "width mismatch")]
     fn mismatched_widths_panic() {
         let _ = Row::zeros(4).and(&Row::zeros(5));
+    }
+
+    #[test]
+    fn in_place_ops_match_allocating_ops() {
+        for width in [1usize, 5, 63, 64, 65, 200] {
+            let a = Row::from_bits((0..width).map(|i| i % 3 == 0));
+            let b = Row::from_bits((0..width).map(|i| i % 5 < 2));
+            let c = Row::from_bits((0..width).map(|i| i % 7 > 3));
+            let mut r = a.clone();
+            r &= &b;
+            assert_eq!(r, a.and(&b));
+            r.clone_from(&a);
+            r |= &b;
+            assert_eq!(r, a.or(&b));
+            r.invert();
+            assert_eq!(r, a.or(&b).not());
+            let mut s = Row::zeros(1);
+            s.assign_and_not(&a, &b);
+            assert_eq!(s, a.and(&b.not()));
+            s.assign_maj3(&a, &b, &c);
+            assert_eq!(s, Row::maj3(&a, &b, &c));
+            s.clear();
+            assert_eq!(s, Row::zeros(width));
+            assert_eq!(s.words().len(), width.div_ceil(64));
+        }
     }
 
     #[test]

@@ -149,14 +149,45 @@ impl ProtectStats {
     }
 }
 
+/// SECDED check bits of one 64-bit data word, packed LSB-first: check
+/// bit `j` is the parity of the data bits under generator row `j`. The
+/// rows are read off the code's checks of the 64 unit words, so for a
+/// linear code the packed checks equal [`LinearCode::checks`] exactly.
+#[derive(Debug, Clone)]
+struct WordChecks {
+    rows: Vec<u64>,
+}
+
+impl WordChecks {
+    fn new(code: &Secded) -> Self {
+        assert_eq!(code.data_bits(), 64, "word checks need a 64-bit code");
+        let mut rows = vec![0u64; code.check_bits()];
+        for i in 0..64 {
+            let unit: Vec<bool> = (0..64).map(|b| b == i).collect();
+            for (row, c) in rows.iter_mut().zip(code.checks(&unit)) {
+                *row |= u64::from(c) << i;
+            }
+        }
+        Self { rows }
+    }
+
+    fn checks(&self, word: u64) -> u64 {
+        self.rows.iter().enumerate().fold(0, |acc, (j, &g)| {
+            acc | u64::from((word & g).count_ones() & 1) << j
+        })
+    }
+}
+
 /// Executes protected masking operations on rows, with Monte-Carlo fault
 /// injection and real syndrome checks over per-64-bit-chunk SECDED words.
 #[derive(Debug, Clone)]
 pub struct EccProtection {
     fr_checks: u32,
-    code: Secded,
+    code: WordChecks,
     faults: FaultModel,
     max_retries: u32,
+    /// Fault-pattern scratch row, reused across operations.
+    flips: Row,
 }
 
 impl EccProtection {
@@ -171,9 +202,10 @@ impl EccProtection {
         assert!(fr_checks >= 1, "need at least one FR computation");
         Self {
             fr_checks,
-            code: Secded::secded_72_64(),
+            code: WordChecks::new(&Secded::secded_72_64()),
             faults,
             max_retries: 64,
+            flips: Row::zeros(64),
         }
     }
 
@@ -188,20 +220,24 @@ impl EccProtection {
     /// execution statistics.
     pub fn protected_and(&mut self, a: &Row, b: &Row) -> (Row, ProtectStats) {
         let mut stats = ProtectStats::default();
-        let expected_checks = self.xor_checks(a, b);
+        let mut ir2 = a.clone();
+        let mut ir1 = a.clone();
+        let mut not_ir2 = a.clone();
+        let mut fr = a.clone();
         for _ in 0..=self.max_retries {
             // IR2 = a & b  (the result we actually want).
-            let ir2 = self.faulty_and(a, b, &mut stats);
+            self.faulty_and(&mut ir2, a, b, &mut stats);
             // IR1 = a | b.
-            let ir1 = self.faulty_or(a, b, &mut stats);
+            self.faulty_or(&mut ir1, a, b, &mut stats);
             // FR = IR1 & !IR2 (== a ^ b fault-free), recomputed fr_checks
             // times; every copy must pass the syndrome check.
-            let not_ir2 = ir2.not(); // DCC-mediated, access-reliable
+            not_ir2.clone_from(&ir2);
+            not_ir2.invert(); // DCC-mediated, access-reliable
             let mut all_pass = true;
             for _ in 0..self.fr_checks {
-                let fr = self.faulty_and(&ir1, &not_ir2, &mut stats);
+                self.faulty_and(&mut fr, &ir1, &not_ir2, &mut stats);
                 stats.checks += 1;
-                if !self.passes(&fr, &expected_checks) {
+                if !self.passes(&fr, a, b) {
                     all_pass = false;
                     break;
                 }
@@ -213,72 +249,71 @@ impl EccProtection {
         }
         // Give up after max_retries (only reachable at extreme rates);
         // return an unprotected result.
-        (self.faulty_and(a, b, &mut stats), stats)
+        self.faulty_and(&mut ir2, a, b, &mut stats);
+        (ir2, stats)
     }
 
-    /// Predicted check bits of `a ^ b` from the operands' stored check
-    /// bits (the XOR homomorphism — no in-memory XOR needed).
-    fn xor_checks(&self, a: &Row, b: &Row) -> Vec<Vec<bool>> {
-        let xa = self.row_checks(a);
-        let xb = self.row_checks(b);
-        xa.into_iter()
-            .zip(xb)
-            .map(|(ca, cb)| crate::code::xor_bits(&ca, &cb))
-            .collect()
+    /// The ECC hardware recomputes the FR word's checks and compares them
+    /// with the ones predicted by XOR-ing the operands' stored checks (the
+    /// XOR homomorphism — no in-memory XOR needed). The code is linear, so
+    /// that comparison is `checks(fr ^ a ^ b) == 0`, word by word.
+    fn passes(&self, fr: &Row, a: &Row, b: &Row) -> bool {
+        fr.words()
+            .iter()
+            .zip(a.words())
+            .zip(b.words())
+            .all(|((&f, &x), &y)| self.code.checks(f ^ x ^ y) == 0)
     }
 
-    /// Row check bits: one SECDED word per 64-bit chunk.
-    fn row_checks(&self, r: &Row) -> Vec<Vec<bool>> {
-        let bits: Vec<bool> = r.iter_bits().collect();
-        bits.chunks(64)
-            .map(|chunk| {
-                let mut word = chunk.to_vec();
-                word.resize(64, false);
-                self.code.checks(&word)
-            })
-            .collect()
-    }
-
-    fn passes(&self, fr: &Row, expected: &[Vec<bool>]) -> bool {
-        let actual = self.row_checks(fr);
-        // The ECC hardware recomputes the FR word's checks and compares
-        // them with the homomorphically-predicted ones; additionally the
-        // syndrome of (fr_word, expected_checks) must vanish. For a linear
-        // code both views coincide.
-        actual == expected
-    }
-
-    /// AND via MAJ3(a, b, 0): only columns where the three activated rows
-    /// disagree are fault-exposed (§6.1), i.e. columns with a|b = 1.
-    fn faulty_and(&mut self, a: &Row, b: &Row, stats: &mut ProtectStats) -> Row {
+    /// `out = a AND b` via MAJ3(a, b, 0): only columns where the three
+    /// activated rows disagree are fault-exposed (§6.1), i.e. columns
+    /// with a|b = 1.
+    fn faulty_and(&mut self, out: &mut Row, a: &Row, b: &Row, stats: &mut ProtectStats) {
         stats.ops += 1;
-        let clean = a.and(b);
-        let vulnerable = a.or(b);
-        self.apply_faults(clean, &vulnerable)
+        out.clone_from(a);
+        *out &= b;
+        self.apply_faults(out, |i| a.get(i) || b.get(i));
     }
 
-    /// OR via MAJ3(a, b, 1): unanimity only when a = b = 1, so columns
-    /// with !(a & b) are fault-exposed.
-    fn faulty_or(&mut self, a: &Row, b: &Row, stats: &mut ProtectStats) -> Row {
+    /// `out = a OR b` via MAJ3(a, b, 1): unanimity only when a = b = 1,
+    /// so columns with !(a & b) are fault-exposed.
+    fn faulty_or(&mut self, out: &mut Row, a: &Row, b: &Row, stats: &mut ProtectStats) {
         stats.ops += 1;
-        let clean = a.or(b);
-        let vulnerable = a.and(b).not();
-        self.apply_faults(clean, &vulnerable)
+        out.clone_from(a);
+        *out |= b;
+        self.apply_faults(out, |i| !(a.get(i) && b.get(i)));
     }
 
-    fn apply_faults(&mut self, clean: Row, vulnerable: &Row) -> Row {
+    /// Draws one row of faults and flips the drawn columns of `out` that
+    /// are `exposed`.
+    fn apply_faults(&mut self, out: &mut Row, exposed: impl Fn(usize) -> bool) {
         if self.faults.rate() <= 0.0 {
-            return clean;
+            return;
         }
-        let mut flips = Row::zeros(clean.width());
-        self.faults.perturb(&mut flips);
-        clean.xor(&flips.and(vulnerable))
+        if self.flips.width() == out.width() {
+            self.flips.clear();
+        } else {
+            self.flips = Row::zeros(out.width());
+        }
+        self.faults.perturb(&mut self.flips);
+        for (w, &word) in self.flips.words().iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = 64 * w + bits.trailing_zeros() as usize;
+                if exposed(i) {
+                    out.flip(i);
+                }
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn table1_error_rates_match_paper_shape() {
@@ -416,6 +451,138 @@ mod tests {
         let b = Row::from_bits((0..4096).map(|i| i % 3 == 0));
         let (_, stats) = p.protected_and(&a, &b);
         assert!(stats.retries > 0, "4096 columns at 5% must trip detection");
+    }
+
+    #[test]
+    fn word_checks_equal_packed_secded_checks() {
+        let code = Secded::secded_72_64();
+        let words = WordChecks::new(&code);
+        let packed = |w: u64| -> u64 {
+            let bits: Vec<bool> = (0..64).map(|i| (w >> i) & 1 == 1).collect();
+            code.checks(&bits)
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (j, &c)| acc | u64::from(c) << j)
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        let units = (0..64).map(|i| 1u64 << i);
+        let randoms = (0..2000).map(|_| rng.gen::<u64>());
+        for w in [0, u64::MAX].into_iter().chain(units).chain(randoms) {
+            assert_eq!(words.checks(w), packed(w), "word {w:#x}");
+        }
+    }
+
+    /// The allocating executor this module used to ship: per-chunk
+    /// `Vec<bool>` check bits and a fresh row per intermediate result.
+    struct ReferenceEcc {
+        fr_checks: u32,
+        code: Secded,
+        faults: FaultModel,
+        max_retries: u32,
+    }
+
+    impl ReferenceEcc {
+        fn protected_and(&mut self, a: &Row, b: &Row) -> (Row, ProtectStats) {
+            let mut stats = ProtectStats::default();
+            let expected_checks = self.xor_checks(a, b);
+            for _ in 0..=self.max_retries {
+                let ir2 = self.faulty_and(a, b, &mut stats);
+                let ir1 = self.faulty_or(a, b, &mut stats);
+                let not_ir2 = ir2.not();
+                let mut all_pass = true;
+                for _ in 0..self.fr_checks {
+                    let fr = self.faulty_and(&ir1, &not_ir2, &mut stats);
+                    stats.checks += 1;
+                    if self.row_checks(&fr) != expected_checks {
+                        all_pass = false;
+                        break;
+                    }
+                }
+                if all_pass {
+                    return (ir2, stats);
+                }
+                stats.retries += 1;
+            }
+            (self.faulty_and(a, b, &mut stats), stats)
+        }
+
+        fn xor_checks(&self, a: &Row, b: &Row) -> Vec<Vec<bool>> {
+            let xa = self.row_checks(a);
+            let xb = self.row_checks(b);
+            xa.into_iter()
+                .zip(xb)
+                .map(|(ca, cb)| crate::code::xor_bits(&ca, &cb))
+                .collect()
+        }
+
+        fn row_checks(&self, r: &Row) -> Vec<Vec<bool>> {
+            let bits: Vec<bool> = r.iter_bits().collect();
+            bits.chunks(64)
+                .map(|chunk| {
+                    let mut word = chunk.to_vec();
+                    word.resize(64, false);
+                    self.code.checks(&word)
+                })
+                .collect()
+        }
+
+        fn faulty_and(&mut self, a: &Row, b: &Row, stats: &mut ProtectStats) -> Row {
+            stats.ops += 1;
+            let clean = a.and(b);
+            let vulnerable = a.or(b);
+            self.apply_faults(clean, &vulnerable)
+        }
+
+        fn faulty_or(&mut self, a: &Row, b: &Row, stats: &mut ProtectStats) -> Row {
+            stats.ops += 1;
+            let clean = a.or(b);
+            let vulnerable = a.and(b).not();
+            self.apply_faults(clean, &vulnerable)
+        }
+
+        fn apply_faults(&mut self, clean: Row, vulnerable: &Row) -> Row {
+            if self.faults.rate() <= 0.0 {
+                return clean;
+            }
+            let mut flips = Row::zeros(clean.width());
+            self.faults.perturb(&mut flips);
+            clean.xor(&flips.and(vulnerable))
+        }
+    }
+
+    #[test]
+    fn protected_and_matches_reference() {
+        let rates = [0.0, 1e-4, 1e-3, 1e-2, 0.05, 0.3];
+        for (ri, &rate) in rates.iter().enumerate() {
+            for seed in 0..6u64 {
+                for fr_checks in [1u32, 2, 4] {
+                    let mut p = EccProtection::new(fr_checks, FaultModel::new(rate, seed));
+                    let mut r = ReferenceEcc {
+                        fr_checks,
+                        code: Secded::secded_72_64(),
+                        faults: FaultModel::new(rate, seed),
+                        max_retries: 64,
+                    };
+                    let mut rng = StdRng::seed_from_u64(seed * 31 + ri as u64);
+                    // Width changes between calls reuse or resize the
+                    // executor's scratch row.
+                    for width in [64, 64, 1, 65, 200, 512, 64] {
+                        let row = |rng: &mut StdRng| {
+                            Row::from_bits((0..width).map(|_| rng.gen_bool(0.5)))
+                        };
+                        let (a, b) = (row(&mut rng), row(&mut rng));
+                        let (got, got_stats) = p.protected_and(&a, &b);
+                        let (want, want_stats) = r.protected_and(&a, &b);
+                        assert_eq!(got, want, "rate {rate} seed {seed} width {width}");
+                        assert_eq!(
+                            got_stats, want_stats,
+                            "rate {rate} seed {seed} width {width}"
+                        );
+                    }
+                    assert_eq!(p.faults.injected(), r.faults.injected());
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! as errors — see [`BankStats`]).
 
 use crate::codec::JohnsonCode;
-use crate::kary::TransitionPattern;
+use crate::kary::{FlagRule, TransitionPattern};
 use c2m_cim::{FaultModel, Row};
 use c2m_ecc::protect::{ProtectionAnalysis, ProtectionKind};
 use c2m_ecc::TmrVoter;
@@ -42,14 +42,92 @@ pub struct CounterBank {
     code: JohnsonCode,
     digits: usize,
     width: usize,
+    rows: DigitRows,
+    /// Increment and decrement patterns for step `k`, at index `k − 1`.
+    inc: Vec<TransitionPattern>,
+    dec: Vec<TransitionPattern>,
+    /// `decode_nearest` of every n-bit pattern; empty when n exceeds
+    /// [`NEAREST_TABLE_BITS`].
+    nearest: Vec<u8>,
+    /// A resolved digit's flag row, swapped out to mask the next digit.
+    carry: Row,
+    protection: ProtectionKind,
+    effective_rate: f64,
+    stats: BankStats,
+}
+
+/// Widest digit whose nearest-state decode is tabulated (256 entries).
+const NEAREST_TABLE_BITS: usize = 8;
+
+/// The counter rows and the scratch rows a digit step works in, so a step
+/// allocates nothing.
+#[derive(Debug, Clone)]
+struct DigitRows {
     /// bits[d][i] = row holding bit i of digit d of every counter.
     bits: Vec<Vec<Row>>,
     /// onext[d] = pending overflow/borrow flag rows.
     onext: Vec<Row>,
-    protection: ProtectionKind,
+    /// The stepped digit's bit rows from before the step.
+    old: Vec<Row>,
+    keep: Row,
+    take: Row,
     faults: FaultModel,
-    effective_rate: f64,
-    stats: BankStats,
+}
+
+impl DigitRows {
+    /// One masked step of digit `d`; every computed row is perturbed in
+    /// the order keep, take, merged per bit, then the fired flag and the
+    /// updated `O_next`.
+    fn step(&mut self, d: usize, pattern: &TransitionPattern, mask: &Row) {
+        let Self {
+            bits,
+            onext,
+            old,
+            keep,
+            take,
+            faults,
+        } = self;
+        let new = &mut bits[d];
+        std::mem::swap(new, old);
+        for (i, s) in pattern.sources().iter().enumerate() {
+            // b'_i = (b_i & !m) | (src & m): two ANDs and an OR, each a
+            // fault-exposed MAJ-class op.
+            keep.assign_and_not(&old[i], mask);
+            faults.perturb(keep);
+            if s.invert {
+                take.assign_and_not(mask, &old[s.src]);
+            } else {
+                take.clone_from(&old[s.src]);
+                *take &= mask;
+            }
+            faults.perturb(take);
+            new[i].clone_from(keep);
+            new[i] |= take;
+            faults.perturb(&mut new[i]);
+        }
+        let n = new.len();
+        let (old_msb, new_msb) = (&old[n - 1], &new[n - 1]);
+        let fired = keep;
+        match pattern.flag_rule() {
+            FlagRule::IncSmall => fired.assign_and_not(old_msb, new_msb),
+            FlagRule::IncLarge => {
+                fired.clone_from(new_msb);
+                fired.invert();
+                *fired |= old_msb;
+                *fired &= mask;
+            }
+            FlagRule::DecSmall => fired.assign_and_not(new_msb, old_msb),
+            FlagRule::DecLarge => {
+                fired.clone_from(old_msb);
+                fired.invert();
+                *fired |= new_msb;
+                *fired &= mask;
+            }
+        }
+        faults.perturb(fired);
+        onext[d] |= fired;
+        faults.perturb(&mut onext[d]);
+    }
 }
 
 impl CounterBank {
@@ -100,14 +178,34 @@ impl CounterBank {
         };
         let effective = FaultModel::new(effective_rate.min(1.0), 0xC0DE ^ width as u64);
         let _ = faults; // raw model consumed into the effective rate
+        let nearest = if n <= NEAREST_TABLE_BITS {
+            (0..1u64 << n)
+                .map(|b| code.decode_nearest(b) as u8)
+                .collect()
+        } else {
+            Vec::new()
+        };
         Self {
             code,
             digits,
             width,
-            bits: vec![vec![Row::zeros(width); n]; digits],
-            onext: vec![Row::zeros(width); digits],
+            rows: DigitRows {
+                bits: vec![vec![Row::zeros(width); n]; digits],
+                onext: vec![Row::zeros(width); digits],
+                old: vec![Row::zeros(width); n],
+                keep: Row::zeros(width),
+                take: Row::zeros(width),
+                faults: effective,
+            },
+            inc: (1..radix)
+                .map(|k| TransitionPattern::increment(n, k))
+                .collect(),
+            dec: (1..radix)
+                .map(|k| TransitionPattern::decrement(n, k))
+                .collect(),
+            nearest,
+            carry: Row::zeros(width),
             protection,
-            faults: effective,
             effective_rate,
             stats: BankStats::default(),
         }
@@ -155,6 +253,12 @@ impl CounterBank {
         self.effective_rate
     }
 
+    /// Total bit faults injected so far.
+    #[must_use]
+    pub fn faults_injected(&self) -> u64 {
+        self.rows.faults.injected()
+    }
+
     /// Host-writes counter `col` to `value` (no pending flags).
     ///
     /// # Panics
@@ -169,10 +273,10 @@ impl CounterBank {
             let digit = (v % radix) as usize;
             v /= radix;
             let enc = self.code.encode(digit);
-            for i in 0..self.code.bits() {
-                self.bits[d][i].set(col, (enc >> i) & 1 == 1);
+            for (i, row) in self.rows.bits[d].iter_mut().enumerate() {
+                row.set(col, (enc >> i) & 1 == 1);
             }
-            self.onext[d].set(col, false);
+            self.rows.onext[d].set(col, false);
         }
     }
 
@@ -181,16 +285,7 @@ impl CounterBank {
     /// Johnson pattern.
     #[must_use]
     pub fn get(&self, col: usize) -> Option<u128> {
-        let radix = self.code.radix() as u128;
-        let mut total = 0u128;
-        let mut scale = 1u128;
-        for d in 0..self.digits {
-            let v = self.code.decode(self.digit_bits(d, col))?;
-            let pending = u128::from(self.onext[d].get(col));
-            total += scale * (v as u128 + radix * pending);
-            scale *= radix;
-        }
-        Some(total % (scale))
+        self.read(col, |bits| self.code.decode(bits))
     }
 
     /// Reads counter `col` tolerantly: corrupt digits decode to the
@@ -198,26 +293,38 @@ impl CounterBank {
     /// a faulted counter — §2.4's minimal-transitional-error property).
     #[must_use]
     pub fn get_nearest(&self, col: usize) -> u128 {
+        self.read(col, |bits| {
+            Some(match self.nearest.get(bits as usize) {
+                Some(&v) => usize::from(v),
+                None => self.code.decode_nearest(bits),
+            })
+        })
+        .expect("nearest decoding never fails")
+    }
+
+    /// Folds column `col`'s digits, decoded by `decode`, and their
+    /// pending flags into one value modulo the capacity.
+    fn read(&self, col: usize, decode: impl Fn(u64) -> Option<usize>) -> Option<u128> {
+        assert!(col < self.width, "column {col} out of range");
+        let bit = |r: &Row| (r.words()[col / 64] >> (col % 64)) & 1;
         let radix = self.code.radix() as u128;
         let mut total = 0u128;
         let mut scale = 1u128;
-        for d in 0..self.digits {
-            let v = self.code.decode_nearest(self.digit_bits(d, col));
-            let pending = u128::from(self.onext[d].get(col));
-            total += scale * (v as u128 + radix * pending);
+        for (digit, flag) in self.rows.bits.iter().zip(&self.rows.onext) {
+            let bits = digit
+                .iter()
+                .enumerate()
+                .fold(0, |acc, (i, r)| acc | bit(r) << i);
+            let v = decode(bits)?;
+            total += scale * (v as u128 + radix * u128::from(bit(flag)));
             scale *= radix;
         }
-        total % scale
-    }
-
-    fn digit_bits(&self, d: usize, col: usize) -> u64 {
-        let mut bits = 0u64;
-        for i in 0..self.code.bits() {
-            if self.bits[d][i].get(col) {
-                bits |= 1 << i;
-            }
+        // Every digit plus its flag is below 2·radix, so total < 3·scale:
+        // at most two subtractions reduce it modulo the capacity.
+        while total >= scale {
+            total -= scale;
         }
-        bits
+        Some(total)
     }
 
     /// Applies one masked k-ary step to digit `d`, latching the
@@ -230,49 +337,37 @@ impl CounterBank {
     /// Panics if `d` is out of range, the pattern width differs from the
     /// digit width, or the mask width differs from the bank width.
     pub fn step_digit(&mut self, d: usize, pattern: &TransitionPattern, mask: &Row) {
-        assert!(d < self.digits, "digit out of range");
         assert_eq!(pattern.n(), self.code.bits(), "pattern width mismatch");
         assert_eq!(mask.width(), self.width, "mask width mismatch");
-        let n = self.code.bits();
-        let old: Vec<Row> = self.bits[d].clone();
-        let not_mask = mask.not();
-        let old_msb = old[n - 1].clone();
-        for (i, srcspec) in pattern.sources().iter().enumerate() {
-            let src = if srcspec.invert {
-                old[srcspec.src].not()
-            } else {
-                old[srcspec.src].clone()
-            };
-            // b'_i = (b_i & !m) | (src & m): two ANDs and an OR, each a
-            // fault-exposed MAJ-class op.
-            let keep = self.faulty(old[i].and(&not_mask));
-            let take = self.faulty(src.and(mask));
-            let merged = self.faulty(keep.or(&take));
-            self.bits[d][i] = merged;
-        }
-        let new_msb = &self.bits[d][n - 1];
-        let fired = match pattern.flag_rule() {
-            crate::kary::FlagRule::IncSmall => old_msb.and(&new_msb.not()),
-            crate::kary::FlagRule::IncLarge => old_msb.or(&new_msb.not()).and(mask),
-            crate::kary::FlagRule::DecSmall => old_msb.not().and(new_msb),
-            crate::kary::FlagRule::DecLarge => old_msb.not().or(new_msb).and(mask),
-        };
-        let fired = self.faulty(fired);
-        self.onext[d] = self.faulty(self.onext[d].or(&fired));
-        self.stats.increments += 1;
-        self.stats.ambit_ops += self.protection.ambit_increment_ops(self.code.bits());
+        self.count_step(d);
+        self.rows.step(d, pattern, mask);
     }
 
     /// Masked increment of digit `d` by `k` (`1..radix`).
     pub fn increment_digit(&mut self, d: usize, k: usize, mask: &Row) {
-        let p = TransitionPattern::increment(self.code.bits(), k);
-        self.step_digit(d, &p, mask);
+        assert_eq!(mask.width(), self.width, "mask width mismatch");
+        let p = self.step_index(k);
+        self.count_step(d);
+        self.rows.step(d, &self.inc[p], mask);
     }
 
     /// Masked decrement of digit `d` by `k` (`1..radix`).
     pub fn decrement_digit(&mut self, d: usize, k: usize, mask: &Row) {
-        let p = TransitionPattern::decrement(self.code.bits(), k);
-        self.step_digit(d, &p, mask);
+        assert_eq!(mask.width(), self.width, "mask width mismatch");
+        let p = self.step_index(k);
+        self.count_step(d);
+        self.rows.step(d, &self.dec[p], mask);
+    }
+
+    fn count_step(&mut self, d: usize) {
+        assert!(d < self.digits, "digit out of range");
+        self.stats.increments += 1;
+        self.stats.ambit_ops += self.protection.ambit_increment_ops(self.code.bits());
+    }
+
+    fn step_index(&self, k: usize) -> usize {
+        assert!((1..self.code.radix()).contains(&k), "k must be in 1..2n");
+        k - 1
     }
 
     /// Digit-wise carry ripple (§4.4 footnote 3): unit-increments digit
@@ -280,10 +375,10 @@ impl CounterBank {
     /// Overflow out of the most-significant digit wraps (is dropped), as
     /// in any fixed-capacity accumulator.
     pub fn resolve_carry(&mut self, d: usize) {
-        let mask = self.onext[d].clone();
-        self.onext[d] = Row::zeros(self.width);
+        self.take_flags(d);
         if d + 1 < self.digits {
-            self.increment_digit(d + 1, 1, &mask);
+            self.count_step(d + 1);
+            self.rows.step(d + 1, &self.inc[0], &self.carry);
         }
         self.stats.resolves += 1;
     }
@@ -291,31 +386,37 @@ impl CounterBank {
     /// Borrow ripple for decrements: unit-decrements digit `d+1` under
     /// digit `d`'s flag, then clears it.
     pub fn resolve_borrow(&mut self, d: usize) {
-        let mask = self.onext[d].clone();
-        self.onext[d] = Row::zeros(self.width);
+        self.take_flags(d);
         if d + 1 < self.digits {
-            self.decrement_digit(d + 1, 1, &mask);
+            self.count_step(d + 1);
+            self.rows.step(d + 1, &self.dec[0], &self.carry);
         }
         self.stats.resolves += 1;
+    }
+
+    /// Moves digit `d`'s flag row into `carry` and clears the flag.
+    fn take_flags(&mut self, d: usize) {
+        std::mem::swap(&mut self.rows.onext[d], &mut self.carry);
+        self.rows.onext[d].clear();
     }
 
     /// True if digit `d` has any pending flag set.
     #[must_use]
     pub fn has_pending(&self, d: usize) -> bool {
-        self.onext[d].count_ones() > 0
+        self.rows.onext[d].words().iter().any(|&w| w != 0)
     }
 
     /// Direct access to a digit's `O_next` flag row.
     #[must_use]
     pub fn onext(&self, d: usize) -> &Row {
-        &self.onext[d]
+        &self.rows.onext[d]
     }
 
     /// Direct access to bit row `i` of digit `d` (for Algorithm 2 and the
     /// tensor ops in `ops`).
     #[must_use]
     pub fn bit_row(&self, d: usize, i: usize) -> &Row {
-        &self.bits[d][i]
+        &self.rows.bits[d][i]
     }
 
     /// Accumulates `value` into every masked counter with **full carry
@@ -360,13 +461,6 @@ impl CounterBank {
                 self.resolve_borrow(dd);
             }
         }
-    }
-
-    fn faulty(&mut self, mut r: Row) -> Row {
-        if self.effective_rate > 0.0 {
-            self.faults.perturb(&mut r);
-        }
-        r
     }
 }
 
