@@ -16,7 +16,6 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use c2m_core::cache::PlanCache;
 use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_core::store::CacheStore;
 use c2m_serve::{open_loop, OpenLoopConfig, ServeConfig, ServeRequest, ServeRuntime, TenantSpec};
 use std::sync::Arc;
 
@@ -64,30 +63,6 @@ fn bench_steady_state(c: &mut Criterion) {
     });
 }
 
-/// The `--cache-dir` cross-process path: every iteration simulates a
-/// fresh process — a cold [`PlanCache`] warmed by loading the persisted
-/// store of a previous invocation's run, then the steady-state sweep.
-/// Tracks the persistent tier's end-to-end value: load + warm run must
-/// beat the uncached run even with the store parse in the loop.
-fn bench_persistent_warm(c: &mut Criterion) {
-    let reqs = trace();
-    let path = std::env::temp_dir().join(format!(
-        "c2m_bench_serve_{}.c2mcache.json",
-        std::process::id()
-    ));
-    let warm = Arc::new(PlanCache::default());
-    let _ = ServeRuntime::new(engine(Some(&warm)), cfg()).run(&reqs);
-    CacheStore::save(&path, &warm).expect("bench store path is writable");
-    c.bench_function("fig_serve/steady_state_run_persistent_warm", |b| {
-        b.iter(|| {
-            let cache = Arc::new(PlanCache::default());
-            assert!(CacheStore::load_into(&path, &cache), "store must load");
-            ServeRuntime::new(engine(Some(&cache)), cfg()).run(black_box(&reqs))
-        })
-    });
-    std::fs::remove_file(&path).ok();
-}
-
 /// The serial (batch cap 1) configuration, where the per-request
 /// plan-pass cache is the only lever: still a large win.
 fn bench_serial(c: &mut Criterion) {
@@ -103,10 +78,5 @@ fn bench_serial(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_steady_state,
-    bench_persistent_warm,
-    bench_serial
-);
+criterion_group!(benches, bench_steady_state, bench_serial);
 criterion_main!(benches);

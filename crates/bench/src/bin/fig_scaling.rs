@@ -15,15 +15,13 @@
 //! one shared plan/pricing/report cache; results are collected in input
 //! order and per-group speedup baselines applied afterwards, so the
 //! table and `--json` output are byte-identical at any
-//! `RAYON_NUM_THREADS`. With `--cache-dir <dir>` the shared cache
-//! persists to `<dir>/fig_scaling.c2mcache.json` across invocations.
+//! `RAYON_NUM_THREADS`.
 
-use c2m_bench::{cache_store_path, eng, header, maybe_json, trace_flag};
+use c2m_bench::{eng, header, maybe_json, trace_flag};
 use c2m_cim::Backend;
 use c2m_core::cache::PlanCache;
 use c2m_core::engine::{C2mEngine, EngineConfig};
 use c2m_core::shard::BackendPolicy;
-use c2m_core::store::CacheStore;
 use c2m_workloads::distributions::int8_embeddings;
 use c2m_workloads::llama::{GEMM_SHAPES, GEMV_SHAPES};
 use rayon::prelude::*;
@@ -80,8 +78,7 @@ fn exec(job: &Job, x_gemv: &[i64], x_gemm: &[i64], cache: &Arc<PlanCache>) -> Pr
     cfg.subarrays = job.subarrays;
     // All sweep points share one cache: the input streams repeat across
     // channel counts and policies, so only the first point pays the
-    // IARM planning pass, and repeated invocations under `--cache-dir`
-    // hit the report tier outright.
+    // IARM planning pass.
     let engine = C2mEngine::builder(cfg)
         .backends(job.policy.clone())
         .shared_cache(Arc::clone(cache))
@@ -167,10 +164,6 @@ fn main() {
     let x_gemv = int8_embeddings(gemv_shape.k, 0x5CA1);
     let x_gemm = int8_embeddings(gemm_shape.k, 0x5CA2);
     let cache = Arc::new(PlanCache::default());
-    let store = cache_store_path("fig_scaling");
-    if let Some(path) = &store {
-        let _ = CacheStore::load_into(path, &cache);
-    }
 
     // Channel-scaling groups (first point of each group = 1 channel),
     // then the SALP groups (first point = 1 stream) at 1 and 4 channels.
@@ -246,9 +239,6 @@ fn main() {
     println!("so the 32- and 128-subarray points coincide once the cap binds.");
     if let Some(path) = trace_flag() {
         trace_export(&path);
-    }
-    if let Some(path) = &store {
-        CacheStore::save(path, &cache).expect("cache store path is writable");
     }
     maybe_json(&rows);
 }

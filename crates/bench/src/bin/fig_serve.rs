@@ -40,17 +40,13 @@
 //! enqueued as a job and run on a `rayon` worker against one shared
 //! plan/pricing/report cache; results are collected in input order, so
 //! the table and `--json` output are byte-identical at any
-//! `RAYON_NUM_THREADS` (including `1`). With `--cache-dir <dir>` the
-//! shared cache is loaded from `<dir>/fig_serve.c2mcache.json` before
-//! the sweep and saved back afterwards, so a repeated invocation starts
-//! warm across processes.
+//! `RAYON_NUM_THREADS` (including `1`).
 
-use c2m_bench::{cache_store_path, eng, header, maybe_json, trace_flag};
+use c2m_bench::{eng, header, maybe_json, trace_flag};
 use c2m_cim::Backend;
 use c2m_core::cache::PlanCache;
 use c2m_core::engine::{C2mEngine, EngineConfig};
 use c2m_core::shard::BackendPolicy;
-use c2m_core::store::CacheStore;
 use c2m_serve::{
     open_loop, OpenLoopConfig, SchedPolicy, ServeConfig, ServeRequest, ServeRuntime, ServiceClass,
     TenantSpec,
@@ -354,10 +350,6 @@ fn main() {
     // policies, not inputs.
     let traces = (workload(), slo_workload());
     let cache = Arc::new(PlanCache::default());
-    let store = cache_store_path("fig_serve");
-    if let Some(path) = &store {
-        let _ = CacheStore::load_into(path, &cache);
-    }
     let mut jobs: Vec<Job> = Vec::new();
     let mut push = |trace: TraceId,
                     sweep: &'static str,
@@ -553,9 +545,6 @@ fn main() {
     println!("residency sweep prices reloads per subarray slot, never under the flat model.");
     if let Some(path) = trace_flag() {
         trace_export(&traces.1, &ambit, &path);
-    }
-    if let Some(path) = &store {
-        CacheStore::save(path, &cache).expect("cache store path is writable");
     }
     maybe_json(&rows);
 }

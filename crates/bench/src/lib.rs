@@ -43,28 +43,6 @@ pub fn trace_flag() -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The directory of a `--cache-dir <dir>` flag, when one was passed:
-/// binaries that support it load their persistent plan/report cache
-/// store from `<dir>/<name>.c2mcache.json` before sweeping and save it
-/// back afterwards, so repeated invocations start warm across
-/// processes. A missing, stale or corrupt store file is simply a cold
-/// start — results are bit-for-bit identical either way.
-#[must_use]
-pub fn cache_dir_flag() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--cache-dir")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-}
-
-/// The store-file path for binary `name` under `--cache-dir`, when the
-/// flag was passed.
-#[must_use]
-pub fn cache_store_path(name: &str) -> Option<std::path::PathBuf> {
-    cache_dir_flag().map(|d| d.join(format!("{name}.c2mcache.json")))
-}
-
 /// Dumps a serialisable result as pretty JSON when `--json` was passed.
 pub fn maybe_json<T: Serialize>(value: &T) {
     if std::env::args().any(|a| a == "--json") {

@@ -104,11 +104,11 @@ impl PlanKey {
 /// stored values (`x` then `−x`), so ternary callers can key on the
 /// undoubled input and skip materialising the doubled copy on a hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct StreamParams {
-    pub(crate) radix: usize,
-    pub(crate) digits: usize,
-    pub(crate) iarm: bool,
-    pub(crate) doubled: bool,
+struct StreamParams {
+    radix: usize,
+    digits: usize,
+    iarm: bool,
+    doubled: bool,
 }
 
 #[derive(Debug)]
@@ -504,8 +504,7 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a with one xor-multiply step per whole word. All map *indices*
 /// in this module use this: collisions degrade to recomputation (the
 /// entry fails the equality gate and is replaced), so the hash needs to
-/// be fast and well-distributed, not cryptographic. Indices are never
-/// persisted — the store recomputes them from content on load.
+/// be fast and well-distributed, not cryptographic.
 struct Fnv(u64);
 
 impl Fnv {
@@ -589,90 +588,6 @@ fn report_index(cfg_words: &[u64], kernel: ReportKernelRef<'_>) -> u64 {
         }
     }
     h.0
-}
-
-/// Full contents of a [`PlanCache`] (entries only — tallies count
-/// lookups, not contents, and are never persisted). The bridge between
-/// the live maps and [`CacheStore`](crate::store::CacheStore)'s on-disk
-/// word encoding.
-#[derive(Debug, Default)]
-pub(crate) struct CacheContents {
-    pub(crate) plans: Vec<(PlanKey, ShardPlan)>,
-    pub(crate) streams: Vec<(StreamParams, Box<[i64]>, u64)>,
-    pub(crate) reports: Vec<(Box<[u64]>, ReportKernel, ExecutionReport)>,
-}
-
-impl PlanCache {
-    /// Snapshots every entry of every tier.
-    pub(crate) fn export_contents(&self) -> CacheContents {
-        CacheContents {
-            plans: self
-                .plans
-                .lock()
-                .expect("plan cache poisoned")
-                .iter()
-                .map(|(k, p)| (k.clone(), (**p).clone()))
-                .collect(),
-            streams: self
-                .streams
-                .lock()
-                .expect("stream cache poisoned")
-                .values()
-                .map(|e| (e.params, e.xs.clone(), e.seqs))
-                .collect(),
-            reports: self
-                .reports
-                .entries
-                .lock()
-                .expect("report cache poisoned")
-                .values()
-                .map(|e| (e.cfg_words.clone(), e.kernel.clone(), e.report.clone()))
-                .collect(),
-        }
-    }
-
-    /// Installs snapshotted entries, respecting this cache's caps and
-    /// leaving the tallies untouched (a restored entry is neither a hit
-    /// nor a miss until something looks it up). Indices are recomputed
-    /// from content, so a snapshot survives hash-function changes.
-    pub(crate) fn import_contents(&self, contents: CacheContents) {
-        {
-            let mut map = self.plans.lock().expect("plan cache poisoned");
-            for (key, plan) in contents.plans {
-                if map.len() >= self.cfg.max_plans {
-                    break;
-                }
-                map.insert(key, Arc::new(plan));
-            }
-        }
-        {
-            let mut map = self.streams.lock().expect("stream cache poisoned");
-            for (params, xs, seqs) in contents.streams {
-                if map.len() >= self.cfg.max_streams {
-                    break;
-                }
-                let index = stream_index(params, &xs);
-                map.insert(index, StreamEntry { params, xs, seqs });
-            }
-        }
-        if self.reports.enabled() {
-            let mut map = self.reports.entries.lock().expect("report cache poisoned");
-            for (cfg_words, kernel, report) in contents.reports {
-                if map.len() >= self.cfg.max_reports {
-                    break;
-                }
-                let index = kernel.with_ref(|k| report_index(&cfg_words, k));
-                map.insert(
-                    index,
-                    ReportEntry {
-                        cfg_words,
-                        kernel,
-                        report,
-                    },
-                );
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -809,30 +724,6 @@ mod tests {
         assert!(c.reports().lookup(&[9], k).is_none());
         let t = c.counters();
         assert_eq!((t.report_hits, t.report_misses), (0, 0));
-    }
-
-    #[test]
-    fn contents_round_trip_through_export_import() {
-        let c = PlanCache::default();
-        let _ = c.plan(&key(64), || plan(64));
-        let xs = vec![1i64, -2, 3];
-        let _ = c.sequences(4, 32, true, false, &xs, || 42);
-        let k = ReportKernelRef::TernaryGemv { n: 16, x: &xs };
-        c.reports().insert(&[5, 6], k, &fake_report(3.5));
-
-        let fresh = PlanCache::default();
-        fresh.import_contents(c.export_contents());
-        // Imports never count as lookups…
-        assert_eq!(fresh.counters(), CacheCounters::default());
-        // …but every tier serves the restored entries.
-        let p = fresh.plan(&key(64), || unreachable!("restored plan must hit"));
-        assert_eq!(p.total, 64);
-        assert_eq!(
-            fresh.sequences(4, 32, true, false, &xs, || unreachable!()),
-            42
-        );
-        let hit = fresh.reports().lookup(&[5, 6], k).expect("restored report");
-        assert_eq!(hit.elapsed_ns.to_bits(), 3.5f64.to_bits());
     }
 
     #[test]

@@ -29,7 +29,6 @@
 
 use crate::cache::{CacheConfig, PlanCache, PlanKey, ReportKernelRef};
 use crate::shard::{BackendPolicy, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
-use crate::store::CacheStore;
 use c2m_cim::Backend;
 use c2m_dram::scheduler::{
     salp_stream_cap, steady_state_aap_interval_ranked, steady_state_aap_interval_salp,
@@ -46,7 +45,6 @@ use c2m_trace::{TraceEvent, TraceSink, Track};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -238,7 +236,6 @@ pub struct EngineBuilder {
     sizing: ShardSizing,
     balanced: bool,
     cache: CacheChoice,
-    cache_path: Option<PathBuf>,
     trace: Option<Arc<dyn TraceSink>>,
 }
 
@@ -294,19 +291,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn no_cache(mut self) -> Self {
         self.cache = CacheChoice::Disabled;
-        self
-    }
-
-    /// Backs the engine's cache with a persistent store file: at build
-    /// time the file is loaded through
-    /// [`CacheStore::load_into`](crate::store::CacheStore::load_into)
-    /// (a missing, stale, or corrupt file is silently treated as cold),
-    /// and [`C2mEngine::save_cache`] writes the warmed contents back.
-    /// Applies to whichever cache the engine ends up with (private or
-    /// shared); a no-op under [`Self::no_cache`].
-    #[must_use]
-    pub fn cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
         self
     }
 
@@ -392,12 +376,6 @@ impl EngineBuilder {
             CacheChoice::Shared(h) => Some(h),
             CacheChoice::Disabled => None,
         };
-        if let (Some(path), Some(c)) = (&self.cache_path, &cache) {
-            // Warm start from the persistent store; any guard failure
-            // (missing file, version or fingerprint-scheme mismatch,
-            // corruption) just leaves the cache cold.
-            let _ = CacheStore::load_into(path, c);
-        }
         let mut engine = C2mEngine {
             cfg,
             code,
@@ -405,7 +383,6 @@ impl EngineBuilder {
             backends: self.backends,
             sizing: self.sizing,
             cache,
-            cache_path: self.cache_path,
             trace: self.trace.map(TraceHandle::new),
         };
         if self.balanced {
@@ -445,8 +422,6 @@ pub struct C2mEngine {
     backends: BackendPolicy,
     sizing: ShardSizing,
     cache: Option<Arc<PlanCache>>,
-    /// Persistent-store path from [`EngineBuilder::cache_path`], if any.
-    cache_path: Option<PathBuf>,
     /// Optional trace hook (shared clock across clones). Observational
     /// only — never read by any pricing path.
     trace: Option<TraceHandle>,
@@ -464,7 +439,6 @@ impl C2mEngine {
             sizing: ShardSizing::default(),
             balanced: false,
             cache: CacheChoice::Private(CacheConfig::default()),
-            cache_path: None,
             trace: None,
         }
     }
@@ -474,57 +448,6 @@ impl C2mEngine {
     /// into the engine it was handed. See [`EngineBuilder::trace`].
     pub fn set_trace(&mut self, sink: Arc<dyn TraceSink>) {
         self.trace = Some(TraceHandle::new(sink));
-    }
-
-    /// Creates an engine from a configuration, dispatching every shard
-    /// to Ambit (the paper's substrate).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid radix/capacity combinations.
-    #[deprecated(since = "0.6.0", note = "use `C2mEngine::builder(cfg).build()`")]
-    #[must_use]
-    pub fn new(cfg: EngineConfig) -> Self {
-        Self::builder(cfg).build()
-    }
-
-    /// Creates an engine with an explicit per-shard backend dispatch
-    /// policy (§4.6 heterogeneous execution).
-    ///
-    /// # Panics
-    ///
-    /// Panics on invalid radix/capacity combinations, and on degenerate
-    /// DRAM geometry (zero channels/ranks, or more compute banks than
-    /// the rank has) — the same checks as [`Topology::from_config`],
-    /// applied at construction so the kernel methods cannot fail later.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `C2mEngine::builder(cfg).backends(policy).build()`"
-    )]
-    #[must_use]
-    pub fn with_backends(cfg: EngineConfig, backends: BackendPolicy) -> Self {
-        Self::builder(cfg).backends(backends).build()
-    }
-
-    /// Replaces the shard-length sizing policy (see [`ShardSizing`]).
-    /// The default [`ShardSizing::Even`] is the seed behaviour;
-    /// [`Self::heterogeneity_weights`] builds the weighted sizing that
-    /// equalises per-channel makespan under this engine's backend
-    /// policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or non-positive weight vector.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `C2mEngine::builder(cfg).sizing(s).build()` (or `.balanced_sizing()`)"
-    )]
-    #[must_use]
-    pub fn with_shard_sizing(mut self, sizing: ShardSizing) -> Self {
-        // Validate eagerly through the planner's checks.
-        let _ = ShardPlanner::new(self.topology()).with_sizing(sizing.clone());
-        self.sizing = sizing;
-        self
     }
 
     /// The shard-length sizing policy in force.
@@ -537,9 +460,9 @@ impl C2mEngine {
     /// channel `c` weighs `1 / backend_factor(backend_for(c))`, so a
     /// channel whose increments cost `f×` Ambit's receives `1/f` of the
     /// work and every channel finishes its shard at the same time.
-    /// Feeding this to [`Self::with_shard_sizing`] rebalances
-    /// mixed-backend topologies; on a uniform policy it reduces to the
-    /// even split.
+    /// Feeding this to [`EngineBuilder::sizing`] (or building with
+    /// [`EngineBuilder::balanced_sizing`]) rebalances mixed-backend
+    /// topologies; on a uniform policy it reduces to the even split.
     #[must_use]
     pub fn heterogeneity_weights(&self) -> ShardSizing {
         let weights: Vec<f64> = (0..self.cfg.dram.channels)
@@ -692,20 +615,6 @@ impl C2mEngine {
         self.cache
             .as_ref()
             .map_or_else(CacheCounters::default, |c| c.counters())
-    }
-
-    /// Writes the cache contents to the [`EngineBuilder::cache_path`]
-    /// store file, returning `true` if a file was written (`false` when
-    /// the engine has no path or no cache).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the I/O error if the store file cannot be written.
-    pub fn save_cache(&self) -> std::io::Result<bool> {
-        match (&self.cache_path, &self.cache) {
-            (Some(path), Some(c)) => CacheStore::save(path, c).map(|()| true),
-            _ => Ok(false),
-        }
     }
 
     /// The report-cache key words of this engine: an **injective**
@@ -2067,7 +1976,7 @@ mod tests {
         );
     }
 
-    // ---- builder validation, caching and deprecated shims ----
+    // ---- builder validation and caching ----
 
     #[test]
     fn try_build_reports_each_validation_failure() {
@@ -2105,38 +2014,6 @@ mod tests {
                 .try_build(),
             Err(EngineBuildError::InvalidSizing(_))
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_match_the_builder() {
-        let xs = int8_stream(1024, 101);
-        let old = C2mEngine::new(EngineConfig::c2m(16)).ternary_gemv(&xs, 2048);
-        let new = C2mEngine::builder(EngineConfig::c2m(16))
-            .build()
-            .ternary_gemv(&xs, 2048);
-        assert_eq!(old.elapsed_ns, new.elapsed_ns);
-        assert_eq!(old.energy_nj, new.energy_nj);
-
-        let policy = BackendPolicy::Uniform(Backend::Fcdram);
-        let old = C2mEngine::with_backends(cfg_with_channels(2, 1), policy.clone())
-            .ternary_gemv(&xs, 2048);
-        let new = C2mEngine::builder(cfg_with_channels(2, 1))
-            .backends(policy.clone())
-            .build()
-            .ternary_gemv(&xs, 2048);
-        assert_eq!(old.elapsed_ns, new.elapsed_ns);
-
-        let w = ShardSizing::Weighted(vec![2.0, 1.0]);
-        let old = C2mEngine::with_backends(cfg_with_channels(2, 1), policy.clone())
-            .with_shard_sizing(w.clone())
-            .ternary_gemv(&xs, 2048);
-        let new = C2mEngine::builder(cfg_with_channels(2, 1))
-            .backends(policy)
-            .sizing(w)
-            .build()
-            .ternary_gemv(&xs, 2048);
-        assert_eq!(old.elapsed_ns, new.elapsed_ns);
     }
 
     #[test]

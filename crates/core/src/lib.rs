@@ -21,9 +21,6 @@
 //!   memoised shard plans, priced command streams and whole launch
 //!   reports, bit-for-bit identical to uncached execution, shareable
 //!   across engines for fleet-scale sweeps.
-//! * [`store`] — the persistent cache store: snapshot a warm
-//!   [`PlanCache`] to a versioned file and reload it in a later
-//!   process, so sweeps and benches start warm across invocations.
 //! * [`shard`] — topology-aware work partitioning: GEMM rows, GEMV
 //!   inner dimension and CSD planes split over channels → ranks → banks,
 //!   with per-shard backend dispatch (§4.6).
@@ -45,7 +42,6 @@ pub mod nn;
 pub mod placement;
 pub mod residency;
 pub mod shard;
-pub mod store;
 
 pub use cache::{CacheConfig, PlanCache, PlanKey, ReportCache, ReportKernel, ReportKernelRef};
 pub use engine::{C2mEngine, EngineBuildError, EngineBuilder, EngineConfig};
@@ -54,4 +50,3 @@ pub use nn::{AttentionShape, ConvShape};
 pub use placement::{CounterSpec, KernelShape, MaskEncoding, PlacementPlan};
 pub use residency::{ResidencyModel, ResidencyOutcome};
 pub use shard::{BackendPolicy, Shard, ShardAxis, ShardPlan, ShardPlanner, ShardSizing};
-pub use store::CacheStore;

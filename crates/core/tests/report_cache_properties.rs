@@ -1,14 +1,12 @@
-//! Property tests for the whole-report cache tier and its persistent
-//! store: a stored report is an index entry, not an approximation, so a
-//! report-cache hit must reproduce the uncached launch bit-for-bit —
-//! across topologies, kernels and batch sizes — and a cache restored
-//! from a store file must serve the same bytes a warm in-process cache
-//! would. Counter snapshots (`report.cache`) are the one deliberately
-//! observational field and are normalised out before comparison.
+//! Property tests for the whole-report cache tier: a stored report is
+//! an index entry, not an approximation, so a report-cache hit must
+//! reproduce the uncached launch bit-for-bit — across topologies,
+//! kernels and batch sizes. Counter snapshots (`report.cache`) are the
+//! one deliberately observational field and are normalised out before
+//! comparison.
 
-use c2m_core::cache::{CacheConfig, PlanCache};
+use c2m_core::cache::PlanCache;
 use c2m_core::engine::{C2mEngine, EngineConfig};
-use c2m_core::store::CacheStore;
 use c2m_dram::{CacheCounters, ExecutionReport};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -79,74 +77,4 @@ proptest! {
             prop_assert_eq!(cached.cache_stats().report_hits, launches.len() as u64);
         }
     }
-
-    /// Persistence round trip: a warm cache saved to disk and loaded
-    /// into a fresh cache (a simulated new process) serves reports that
-    /// serialise byte-identically to the original run's.
-    #[test]
-    fn restored_store_serves_byte_identical_reports(
-        k in 128usize..512,
-        seed in 0u64..1000,
-    ) {
-        for channels in [1usize, 4] {
-            let path = std::env::temp_dir().join(format!(
-                "c2m_report_props_{}_{channels}_{seed:x}.json",
-                std::process::id()
-            ));
-            let xs = stream(k, seed);
-            let warm = Arc::new(PlanCache::default());
-            let first = build(channels, 1, Some(Arc::clone(&warm))).ternary_gemv(&xs, 256);
-            CacheStore::save(&path, &warm).expect("save");
-
-            let restored = Arc::new(CacheStore::load(&path, CacheConfig::default()));
-            std::fs::remove_file(&path).ok();
-            let engine = build(channels, 1, Some(Arc::clone(&restored)));
-            let replay = engine.ternary_gemv(&xs, 256);
-            prop_assert_eq!(report_json(&replay), report_json(&first));
-            prop_assert_eq!(engine.cache_stats().report_hits, 1);
-            prop_assert_eq!(engine.cache_stats().report_misses, 0);
-        }
-    }
-}
-
-/// A corrupted or version-bumped store file must fall back to a cold
-/// start without error — and the cold engine still produces the exact
-/// same bytes, just via a fresh fold.
-#[test]
-fn corrupt_or_stale_store_degrades_to_cold_with_identical_output() {
-    let path = std::env::temp_dir().join(format!(
-        "c2m_report_props_stale_{}.json",
-        std::process::id()
-    ));
-    let xs = stream(512, 0xFEED);
-    let warm = Arc::new(PlanCache::default());
-    let first = build(2, 1, Some(Arc::clone(&warm))).ternary_gemv(&xs, 512);
-    CacheStore::save(&path, &warm).expect("save");
-    let good = std::fs::read_to_string(&path).expect("store written");
-
-    let mutations = [
-        good.replace("\"format_version\":1", "\"format_version\":2"),
-        good.replace("\"fingerprint_scheme\":1", "\"fingerprint_scheme\":2"),
-        good[..good.len() / 2].to_string(),
-        "{]".to_string(),
-    ];
-    for (i, bad) in mutations.iter().enumerate() {
-        assert_ne!(bad, &good, "mutation {i} must change the file");
-        std::fs::write(&path, bad).expect("rewrite store");
-        let cache = PlanCache::default();
-        assert!(
-            !CacheStore::load_into(&path, &cache),
-            "mutation {i} must be rejected as cold"
-        );
-        let engine = build(2, 1, Some(Arc::new(cache)));
-        let replay = engine.ternary_gemv(&xs, 512);
-        assert_eq!(
-            report_json(&replay),
-            report_json(&first),
-            "mutation {i}: cold fold must still match"
-        );
-        assert_eq!(engine.cache_stats().report_hits, 0);
-        assert_eq!(engine.cache_stats().report_misses, 1);
-    }
-    std::fs::remove_file(&path).ok();
 }

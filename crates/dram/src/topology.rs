@@ -38,14 +38,6 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Version of the [`Self::fingerprint`] packing scheme. Persistent
-    /// cache stores record this next to their format version: a stored
-    /// fingerprint is only comparable to a live one under the same
-    /// scheme, so loaders must treat a file written under a different
-    /// scheme as cold. Bump whenever the field layout of
-    /// [`Self::fingerprint`] changes.
-    pub const FINGERPRINT_SCHEME: u64 = 1;
-
     /// Single channel, single rank — the paper's Table 2 setup.
     #[must_use]
     pub fn single(banks: usize) -> Self {
